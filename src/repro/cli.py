@@ -532,15 +532,15 @@ def _format_top(series: Dict[str, list], status: dict) -> str:
     )
     inflight = status.get("inflight", {})
     busy = {k: v for k, v in sorted(inflight.items()) if v}
-    shard_bits = " ".join(f"{k}={v}" for k, v in busy.items()) or "idle"
-    lines.append(f"shards: {shard_bits} ({sum(inflight.values())} in flight)")
+    pool_bits = " ".join(f"{k}={v}" for k, v in busy.items()) or "idle"
+    lines.append(f"pool: {pool_bits} ({sum(inflight.values())} in flight)")
     sched = status.get("scheduler", {})
     lines.append(
         "sched: " + "  ".join(
             f"{key.split('.', 1)[-1]} {int(sched.get(key, 0))}"
             for key in ("scheduler.jobs_done", "scheduler.jobs_failed",
-                        "scheduler.retries", "scheduler.steals",
-                        "scheduler.timeouts", "scheduler.cache_hits")
+                        "scheduler.retries", "scheduler.timeouts",
+                        "scheduler.crashes", "scheduler.cache_hits")
         )
     )
     ratio = _top_value(series, "repro_cache_hit_ratio")
@@ -590,9 +590,9 @@ def _service_obs_smoke(args) -> int:
 
     Serves with tracing on, scrapes ``/v1/metrics`` cold, drives a
     multi-job sweep batch through ``/v1/sweep``, then asserts the
-    queue/shard/cache series moved, the lifecycle export reassembles
+    queue/scheduler/cache series moved, the lifecycle export reassembles
     into exactly one root span tree, and CHK7xx passes over the obs
-    dir.  Exercises the full submit → queue → shard → span → scrape →
+    dir.  Exercises the full submit → queue → pool → span → scrape →
     reassemble loop the tracing layer exists for.
     """
     import urllib.request

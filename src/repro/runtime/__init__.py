@@ -1,4 +1,4 @@
-"""repro.runtime — the sharded experiment execution runtime.
+"""repro.runtime — the experiment execution runtime.
 
 Turns experiment execution into declarative, parallel, cached,
 observable jobs.  Since the runtime split, four separable components
@@ -7,9 +7,10 @@ sit behind the :func:`run_many` facade:
 * :mod:`repro.runtime.queue` — a persistent, crash-recoverable job
   queue (JSONL journal) with priorities, dependency edges, and
   spec-hash deduplication (one execution, many waiters);
-* :mod:`repro.runtime.scheduler` — an asyncio scheduler feeding warm
-  process pools with work stealing; timeouts, bounded retries, and
-  the serial fallback live here as strategy objects;
+* :mod:`repro.runtime.scheduler` — one worker loop per pool slot,
+  popping ready jobs and running them in-process or on a warm process
+  pool; timeouts, bounded retries, and the serial fallback live here
+  as strategy objects;
 * :mod:`repro.runtime.store` — the batched append-only segment store
   behind the result cache, with metadata-only stats and
   segment-granular eviction;

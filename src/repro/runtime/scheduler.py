@@ -1,4 +1,4 @@
-"""The asyncio scheduler: warm worker pools fed from the job queue.
+"""The scheduler: worker loops over the job queue.
 
 This module is the execution half of the runtime split (the
 :mod:`~repro.runtime.queue` holds *what* to run; the scheduler decides
@@ -9,26 +9,27 @@ This module is the execution half of the runtime split (the
   ``SIGALRM`` deadline with a wall-clock fallback) carry the knobs that
   used to be loose parameters threaded through ``executor.py``;
 * **worker pools** — :class:`ProcessWorkerPool` wraps a warm
-  ``ProcessPoolExecutor`` (fork-preferring, restartable after a worker
+  ``ProcessPoolExecutor`` (fork-preferring, rebuilt after a worker
   crash); :class:`InlineWorkerPool` executes in-process and is both the
   ``jobs=1`` path and the graceful fallback when no pool can be
-  created;
-* **work stealing** — ready jobs are dealt round-robin across the
-  pools' local deques; an idle worker drains its own deque first, then
-  the central queue (DAG-released work), then steals from the tail of
-  the longest other deque, so one slow shard cannot strand work;
+  created.  Both expose one blocking ``run``;
+* **the worker loop** — every pool slot runs the same loop: pop the
+  highest-priority ready job, re-check the cache (service mode only),
+  run the attempt loop, settle the job.  A one-slot pool runs it on the
+  caller's thread, a larger pool on one thread per slot.  Only the run
+  itself and the retry backoff happen outside the scheduler lock, so
+  all bookkeeping stays as serial as on a single thread;
 * **the scheduler** — :meth:`Scheduler.run_batch` drives one queue to
-  completion synchronously (what the :func:`~repro.runtime.executor.run_many`
-  facade calls); :meth:`Scheduler.serve` runs forever on the service's
-  event loop with pools kept warm across batches.
+  completion (what the :func:`~repro.runtime.executor.run_many` facade
+  calls); :meth:`Scheduler.serve` blocks until :meth:`Scheduler.stop`,
+  with the pool kept warm across batches.
 
 Warm pools are safe only where workers inherit every builder the specs
 name: the pools fork from the submitting process, so a *scratch*
 builder registered after the pool forked would be missing in the
-workers.  ``run_batch`` therefore builds pools per call (exactly the
-old behaviour), while the long-lived service — whose specs come in by
-name over HTTP and resolve against the default builders — keeps them
-warm.
+workers.  ``run_batch`` therefore builds its pool per call, while the
+long-lived service — whose specs come in by name over HTTP and resolve
+against the default builders — keeps it warm.
 
 Determinism: the module is covered by REP101/REP202; every wall-clock
 read goes through the journaled :mod:`repro.runtime.clock` seam.  The
@@ -42,17 +43,13 @@ with pool/worker/status), and a terminal ``job`` span — all under the
 batch's deterministic trace id, with the per-run obs exports stamped
 with the executing attempt's ``(trace_id, span_id)``.  A
 :class:`~repro.obs.metrics.MetricsRegistry` on the scheduler counts
-retries/steals/timeouts/cache hits for the service's ``/v1/metrics``
+retries/timeouts/crashes/cache hits for the service's ``/v1/metrics``
 plane, and on terminal failure the recorder's flight ring is dumped
-into ``flight_dir``.  Both the asyncio drain and the ``jobs<=1``
-inline fast path go through the same helpers, so the two paths emit
-identical spans.
+into ``flight_dir``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import collections
 import json
 import multiprocessing
 import os
@@ -68,6 +65,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -289,17 +287,31 @@ def _worker_run(
 
 def _make_pool(jobs: int) -> ProcessPoolExecutor:
     """A pool preferring ``fork`` (cheap, inherits the registry) while
-    degrading to the platform default start method."""
+    degrading to the platform default start method.
+
+    The workers are forked here, before the scheduler starts its worker
+    threads, so a fresh pool's forks cannot copy a lock that one of
+    those threads holds.
+    """
     try:
         mp_context = multiprocessing.get_context("fork")
     except ValueError:
         mp_context = None
-    return ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
+    try:
+        pool.submit(os.getpid).result()
+    except BaseException:
+        pool.shutdown(wait=False)
+        raise
+    return pool
 
 
 #: Exceptions meaning "no process pool can exist here" — the scheduler
 #: degrades to in-process execution rather than failing the batch.
-POOL_UNAVAILABLE = (NotImplementedError, OSError, PermissionError, ValueError)
+POOL_UNAVAILABLE = (
+    NotImplementedError, OSError, PermissionError, ValueError,
+    BrokenProcessPool,
+)
 
 #: Smoothing weight of the events/sec EWMA exposed on ``/v1/metrics``
 #: (weight of the newest finished run).
@@ -309,34 +321,16 @@ EWMA_ALPHA = 0.3
 class InlineWorkerPool:
     """In-process execution: the ``jobs=1`` path and the pool fallback.
 
-    With ``offload=True`` (the service) the run is pushed onto a
-    helper thread so the scheduler's event loop stays responsive; the
-    timeout then uses the wall-clock fallback since ``SIGALRM`` cannot
-    be armed off the main thread.
+    The run happens on the thread driving the worker loop; off the
+    main thread (the service) the timeout uses the wall-clock fallback,
+    since ``SIGALRM`` cannot be armed there.
     """
 
     name = "local"
     capacity = 1
 
-    def __init__(self, offload: bool = False):
-        self._offload = offload
-
-    async def execute(
-        self,
-        spec: RunSpec,
-        timeout: TimeoutPolicy,
-        options: Optional[_obs.ObsOptions],
-        ctx: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
-        if self._offload:
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                None, self._run, spec, timeout, options, ctx
-            )
-        return self._run(spec, timeout, options, ctx)
-
     @staticmethod
-    def _run(
+    def run(
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
@@ -351,64 +345,61 @@ class InlineWorkerPool:
         wall = clock.perf() - start
         return result, wall, "local", trace, meter.finish(wall).to_dict()
 
-    def restart(self, generation: int) -> None:  # pragma: no cover
-        pass  # nothing to restart in-process
-
-    @property
-    def generation(self) -> int:
-        return 0
-
     def close(self) -> None:
         pass
 
 
 class ProcessWorkerPool:
-    """A warm ``ProcessPoolExecutor`` shard.
+    """A warm ``ProcessPoolExecutor``.
 
-    ``restart`` is generation-guarded: when a worker crash breaks the
-    pool, every in-flight ``execute`` observes ``BrokenProcessPool``
-    and asks for a restart, but only the first request (per
-    generation) actually rebuilds the pool.
+    A worker crash breaks the whole executor: every in-flight ``run``
+    raises ``BrokenProcessPool`` and asks for a rebuild, but the rebuild
+    is generation-guarded, so only the first request per generation
+    replaces the executor.
     """
 
-    def __init__(self, workers: int, name: str = "pool-0"):
-        self.name = name
+    name = "pool"
+
+    def __init__(self, workers: int):
         self.capacity = workers
-        self._workers = workers
         self._pool: Optional[ProcessPoolExecutor] = _make_pool(workers)
         self._generation = 0
         self._lock = threading.Lock()
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    async def execute(
+    def run(
         self,
         spec: RunSpec,
         timeout: TimeoutPolicy,
         options: Optional[_obs.ObsOptions],
         ctx: Optional[Dict[str, Any]] = None,
     ) -> Tuple[Any, float, str, str, Dict[str, Any]]:
-        pool = self._pool
-        if pool is None:
-            raise BrokenProcessPool(f"{self.name} could not be rebuilt")
         obs_dict = (
             options.to_dict()
             if options is not None and options.enabled
             else None
         )
-        loop = asyncio.get_running_loop()
-        encoded, wall, worker, trace, perf = await loop.run_in_executor(
-            pool, _worker_run, spec.to_dict(), timeout.timeout_s, obs_dict,
-            ctx,
-        )
+        # Submit under the lock, so a concurrent rebuild can neither
+        # shut the executor down under us nor pair our generation with
+        # another executor.
+        try:
+            with self._lock:
+                generation = self._generation
+                if self._pool is None:
+                    raise BrokenProcessPool("the pool could not be rebuilt")
+                future = self._pool.submit(
+                    _worker_run, spec.to_dict(), timeout.timeout_s,
+                    obs_dict, ctx,
+                )
+            encoded, wall, worker, trace, perf = future.result()
+        except BrokenProcessPool:
+            self._restart(generation)
+            raise
         result = get_builder(spec.builder).decode(encoded)
         return result, wall, worker, trace, perf
 
-    def restart(self, generation: int) -> None:
-        """Rebuild the pool after a crash (no-op if another caller with
-        the same generation already did)."""
+    def _restart(self, generation: int) -> None:
+        """Rebuild the executor after a crash (no-op if another caller
+        with the same generation already did)."""
         with self._lock:
             if generation != self._generation:
                 return
@@ -416,7 +407,7 @@ class ProcessWorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
             try:
-                self._pool = _make_pool(self._workers)
+                self._pool = _make_pool(self.capacity)
             except POOL_UNAVAILABLE:
                 self._pool = None
 
@@ -426,31 +417,18 @@ class ProcessWorkerPool:
             self._pool = None
 
 
-def build_pools(
-    jobs: int, pending: int, offload_inline: bool = False
-) -> List[Any]:
-    """Shard ``jobs`` worker slots into pools sized to the work.
+def build_pool(jobs: int, pending: int) -> Any:
+    """One pool of ``min(jobs, pending)`` worker slots.
 
-    ``jobs <= 1`` (or a single pending run) stays in-process; four or
-    more slots are split into two process-pool shards so the scheduler
-    has somewhere to steal between; pool creation failure degrades to
-    in-process execution.
+    ``jobs <= 1`` (or a single pending run) stays in-process, and so
+    does a host where no process pool can be created.
     """
     if jobs <= 1 or pending <= 1:
-        return [InlineWorkerPool(offload=offload_inline)]
-    slots = min(jobs, max(pending, 2))
-    shards = 2 if slots >= 4 else 1
-    per = [slots // shards + (1 if k < slots % shards else 0)
-           for k in range(shards)]
-    pools: List[Any] = []
+        return InlineWorkerPool()
     try:
-        for k, workers in enumerate(per):
-            pools.append(ProcessWorkerPool(workers, name=f"pool-{k}"))
+        return ProcessWorkerPool(min(jobs, pending))
     except POOL_UNAVAILABLE:
-        for pool in pools:
-            pool.close()
-        return [InlineWorkerPool(offload=offload_inline)]
-    return pools
+        return InlineWorkerPool()
 
 
 class BatchSink:
@@ -568,7 +546,6 @@ class Scheduler:
         obs: Optional[_obs.ObsOptions] = None,
         cache: Optional[ResultCache] = None,
         perf_store: Optional[PerfStore] = None,
-        offload_inline: bool = False,
     ):
         self.jobs = jobs
         self.retry = retry
@@ -576,24 +553,22 @@ class Scheduler:
         self.obs = obs
         self.cache = cache
         self.perf_store = perf_store
-        self.offload_inline = offload_inline
         #: Retry pacing entropy.  Deliberately unseeded — these delays
         #: never touch simulation results, and sharing entropy across
         #: processes is exactly what the jitter exists to avoid.
         self._retry_rng = random.Random()  # repro: noqa[REP102]
-        #: Service mode: workers re-check the cache on pop, because an
-        #: earlier batch may have produced the result since submission.
-        #: Batch mode resolves hits upfront instead (so a fully-cached
-        #: batch never forks a pool) and leaves this off.
-        self.worker_cache_check = False
-        self._pools: Optional[List[Any]] = None
-        self._kick: Optional[asyncio.Event] = None
+        #: Held by every worker loop except around a run and a retry
+        #: backoff; the kick condition wakes idle workers (on submit,
+        #: on every settled job, and on stop).
+        self._lock = threading.Lock()
+        self._kick = threading.Condition(self._lock)
         self._stopping = False
-        #: Set by :meth:`serve`; worker threads use it to wake the loop.
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Errors raised out of worker threads; idle workers give up
+        #: once one is recorded, and the drain re-raises the first.
+        self._errors: List[BaseException] = []
         self.on_retry: Optional[Callable[[Job, float], None]] = None
         #: Lifecycle-span sink (None = tracing off).  The executor and
-        #: the service attach one; both drain paths emit through it.
+        #: the service attach one.
         self.recorder: Optional[_dist.SpanRecorder] = None
         #: Where the flight ring is dumped on terminal failure/timeout
         #: (the manifest directory, typically).
@@ -603,7 +578,6 @@ class Scheduler:
         self.metrics = MetricsRegistry()
         for _name in (
             "scheduler.retries",
-            "scheduler.steals",
             "scheduler.timeouts",
             "scheduler.crashes",
             "scheduler.cache_hits",
@@ -611,16 +585,14 @@ class Scheduler:
             "scheduler.jobs_failed",
         ):
             self.metrics.counter(_name)
-        #: Jobs currently executing, per pool shard name.
+        #: Jobs currently executing, per pool name.
         self.inflight: Dict[str, int] = {}
         #: Exponentially-weighted events/sec over finished runs.
         self.events_ewma: Optional[float] = None
 
     # -- lifecycle spans --------------------------------------------
     #
-    # Shared by the asyncio drain and the inline fast path so both
-    # produce identical trace topology (the parity the CHK7xx tier
-    # checks).  All are no-ops when no recorder is attached.
+    # All are no-ops when no recorder is attached.
 
     def _job_ctx(self, job: Job) -> Optional[_dist.TraceContext]:
         if self.recorder is None:
@@ -766,7 +738,7 @@ class Scheduler:
     ) -> None:
         """Drive ``queue`` to completion, synchronously.
 
-        Pools are built per call, sized to the actual cache misses
+        The pool is built per call, sized to the actual cache misses
         (a fully-cached batch never forks a worker), and torn down
         afterwards — see the module docstring for why warm pools are
         reserved for the service.
@@ -776,203 +748,156 @@ class Scheduler:
         try:
             self.on_retry = sink.on_retried if sink is not None else None
             self.resolve_cached(queue)
-            if queue.open_jobs() > 0:
-                drained = (
-                    self.jobs <= 1
-                    and not self.offload_inline
-                    and self._drain_inline(queue)
-                )
-                if not drained:
-                    _run_sync(self._drain(queue))
+            pending = queue.open_jobs()
+            if pending > 0:
+                pool = build_pool(self.jobs, pending)
+                try:
+                    self._drain(queue, pool, serve=False)
+                finally:
+                    pool.close()
         finally:
             self.on_retry = None
             self.flush_telemetry(queue)
             if sink is not None:
                 sink.finish()
 
-    async def serve(self, queue: JobQueue) -> None:
-        """Run until :meth:`stop`: pools stay warm, workers sleep on a
-        kick event between submissions (the service kicks on submit)."""
-        self.loop = asyncio.get_running_loop()
-        self._stopping = False
-        self._pools = build_pools(
-            self.jobs, max(self.jobs, 2), offload_inline=True
-        )
+    def serve(self, queue: JobQueue) -> None:
+        """Block until :meth:`stop`: the pool stays warm and idle
+        workers sleep on the kick condition between submissions."""
+        pool = build_pool(self.jobs, max(self.jobs, 2))
         try:
-            await self._drain(queue, serve=True)
+            self._drain(queue, pool, serve=True)
         finally:
-            pools, self._pools = self._pools or [], None
-            for pool in pools:
-                pool.close()
-            self.loop = None
+            pool.close()
 
     def stop(self) -> None:
         """Ask a serving scheduler to drain and exit (threadsafe)."""
-        self._stopping = True
-        self.kick_threadsafe()
+        with self._lock:
+            self._stopping = True
+            self._kick.notify_all()
 
-    def kick_threadsafe(self) -> None:
-        """Wake idle workers from another thread (service submit path)."""
-        loop, kick = self.loop, self._kick
-        if loop is not None and kick is not None:
-            loop.call_soon_threadsafe(kick.set)
+    def kick(self) -> None:
+        """Wake idle workers (the service calls this on submit)."""
+        with self._lock:
+            self._kick.notify_all()
 
-    # -- the drain --------------------------------------------------
+    # -- the worker loop --------------------------------------------
 
-    async def _drain(self, queue: JobQueue, serve: bool = False) -> None:
-        self._kick = asyncio.Event()
-        pools = self._pools
-        own_pools = pools is None
-        if own_pools:
-            pools = build_pools(
-                self.jobs, queue.open_jobs(),
-                offload_inline=self.offload_inline,
-            )
-        assert pools is not None
-        deques: List[Any] = [collections.deque() for _ in pools]
-        if not serve:
-            # Deal the ready jobs round-robin across the pool shards;
-            # DAG-blocked jobs surface later via queue.pop().
-            slot = 0
-            while True:
+    def _drain(self, queue: JobQueue, pool: Any, serve: bool) -> None:
+        """Run one worker loop per pool slot until the queue is done
+        (batch) or the scheduler is stopped and drained (serve)."""
+        self._errors = []
+        if pool.capacity == 1:
+            self._work(queue, pool, serve)
+            return
+        ambient = clock.get_clock()
+
+        def slot() -> None:
+            try:
+                with clock.use_clock(ambient):
+                    self._work(queue, pool, serve)
+            except BaseException as exc:  # re-raised on the caller
+                with self._lock:
+                    self._errors.append(exc)
+                    self._kick.notify_all()
+
+        threads = [
+            threading.Thread(target=slot, name=f"repro-{pool.name}-{k}",
+                             daemon=True)
+            for k in range(pool.capacity)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if self._errors:
+            raise self._errors[0]
+
+    def _work(self, queue: JobQueue, pool: Any, serve: bool) -> None:
+        """One worker: pop → cache check (serve mode) → attempt loop →
+        settle, until there is nothing left to wait for."""
+        with self._lock:
+            while not self._errors:
                 job = queue.pop()
                 if job is None:
-                    break
-                deques[slot % len(deques)].append(job)
-                slot += 1
-        try:
-            workers = [
-                asyncio.ensure_future(
-                    self._worker(queue, pools, deques, k, serve)
+                    if queue.open_jobs() == 0 and (
+                        self._stopping or not serve
+                    ):
+                        return
+                    self._kick.wait(timeout=0.1)
+                    continue
+                # Service mode: an earlier batch may have produced the
+                # result since this job was submitted.  Batch mode
+                # resolved its hits upfront in run_batch.
+                hit = (
+                    self.cache.get(job.spec)
+                    if serve and self.cache is not None
+                    else None
                 )
-                for k, pool in enumerate(pools)
-                for _ in range(pool.capacity)
-            ]
-            await asyncio.gather(*workers)
-        finally:
-            if own_pools:
-                for pool in pools:
-                    pool.close()
-            self._kick = None
-
-    async def _worker(
-        self,
-        queue: JobQueue,
-        pools: List[Any],
-        deques: List[Any],
-        pool_index: int,
-        serve: bool,
-    ) -> None:
-        pool = pools[pool_index]
-        mine = deques[pool_index]
-        while True:
-            job: Optional[Job] = None
-            if mine:
-                job = mine.popleft()
-            if job is None:
-                job = queue.pop()
-            if job is None and len(deques) > 1:
-                victim = max(
-                    (d for k, d in enumerate(deques) if k != pool_index),
-                    key=len,
-                )
-                if victim:
-                    job = victim.pop()  # steal the coldest tail entry
-                    self.metrics.counter("scheduler.steals").inc()
-            if job is None:
-                if queue.open_jobs() == 0 and (not serve or self._stopping):
-                    return
-                kick = self._kick
-                assert kick is not None
-                try:
-                    await asyncio.wait_for(kick.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    pass
+                if hit is not None:
+                    self._mark_cached(job, hit, queue)
                 else:
-                    kick.clear()
-                continue
-            await self._run_job(job, pool, queue)
-            if self._kick is not None:
-                self._kick.set()  # a completion may have released deps
+                    self._record_wait(job)
+                    self.inflight[pool.name] = (
+                        self.inflight.get(pool.name, 0) + 1
+                    )
+                    try:
+                        self._attempt_loop(job, pool, queue)
+                    finally:
+                        self.inflight[pool.name] -= 1
+                self._kick.notify_all()  # dependents may be released
 
-    async def _run_job(self, job: Job, pool: Any, queue: JobQueue) -> None:
-        spec = job.spec
-        if (
-            self.worker_cache_check
-            and self.cache is not None
-            and job.attempts <= 1
-        ):
-            # Service mode: the job may have been satisfied by an
-            # earlier batch since it was submitted.
-            hit = self.cache.get(spec)
-            if hit is not None:
-                self._mark_cached(job, hit, queue)
-                return
-        self._record_wait(job)
-        self.inflight[pool.name] = self.inflight.get(pool.name, 0) + 1
+    @contextmanager
+    def _unlocked(self) -> Iterator[None]:
+        """Release the scheduler lock around blocking work."""
+        self._lock.release()
         try:
-            await self._attempt_loop(job, pool, queue)
+            yield
         finally:
-            self.inflight[pool.name] = self.inflight.get(pool.name, 1) - 1
+            self._lock.acquire()
 
-    async def _attempt_loop(
-        self, job: Job, pool: Any, queue: JobQueue
-    ) -> None:
-        spec = job.spec
+    def _attempt_loop(self, job: Job, pool: Any, queue: JobQueue) -> None:
+        """Run ``job`` until it settles: timeouts and worker crashes are
+        retried within the budget, any other error fails it at once."""
         prev_delay = self.retry.backoff_s
         while True:
             exec_ctx = self._exec_ctx(job)
             ctx_dict = exec_ctx.to_dict() if exec_ctx is not None else None
             span_start = clock.now()
             start = clock.perf()
-            generation = pool.generation
             try:
-                result, wall, worker, trace, perf = await pool.execute(
-                    spec, self.timeout, self.obs, ctx_dict
-                )
-            except asyncio.CancelledError:
-                raise
-            except TimeoutError as exc:
+                with self._unlocked():
+                    result, wall, worker, trace, perf = pool.run(
+                        job.spec, self.timeout, self.obs, ctx_dict
+                    )
+            except (TimeoutError, BrokenProcessPool) as exc:
+                # A timeout, or a dead worker (OOM, hard crash; the pool
+                # has rebuilt itself): retry within the ordinary budget.
+                if isinstance(exc, TimeoutError):
+                    status, counter, reason = (
+                        "timeout", "scheduler.timeouts", "timeout"
+                    )
+                else:
+                    status, counter, reason = (
+                        "crashed", "scheduler.crashes", "crash"
+                    )
                 wall = clock.perf() - start
                 job.worker = pool.name
                 self._record_exec(
-                    job, exec_ctx, span_start, "timeout", pool.name, pool.name
+                    job, exec_ctx, span_start, status, pool.name, pool.name
                 )
-                self.metrics.counter("scheduler.timeouts").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, wall)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    await asyncio.sleep(prev_delay)
-                    continue
-                job.wall_s = wall
-                self._fail_job(job, queue, exc, "timeout")
-                return
-            except BrokenProcessPool as exc:
-                # A worker died (OOM, hard crash): rebuild the pool and
-                # retry the run within the ordinary budget.
-                pool.restart(generation)
-                job.worker = pool.name
-                self._record_exec(
-                    job, exec_ctx, span_start, "crashed", pool.name, pool.name
-                )
-                self.metrics.counter("scheduler.crashes").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, 0.0)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    await asyncio.sleep(prev_delay)
-                    continue
-                self._fail_job(job, queue, exc, "crash")
-                return
+                self.metrics.counter(counter).inc()
+                if not self.retry.should_retry(job.attempts):
+                    job.wall_s = wall
+                    self._fail_job(job, queue, exc, reason)
+                    return
+                if self.on_retry is not None:
+                    self.on_retry(job, wall)
+                queue.note_retry(job)
+                self.metrics.counter("scheduler.retries").inc()
+                prev_delay = self.retry.delay_s(prev_delay, self._retry_rng)
+                with self._unlocked():
+                    clock.sleep(prev_delay)
             except Exception as exc:
                 # Deterministic simulation failure: retrying would only
                 # reproduce it, so fail immediately.
@@ -1033,120 +958,6 @@ class Scheduler:
         self._record_job_span(job, "executed", "ok")
         queue.mark_done(job, "executed", result)
 
-    def _drain_inline(self, queue: JobQueue) -> bool:
-        """``jobs<=1`` fast path: the same retry/timeout semantics as
-        :meth:`_run_job`, with no event loop — per-batch asyncio setup
-        costs more than a small batch's entire bookkeeping.
-
-        Returns False (leaving the queue to the async drain) if the
-        queue stalls with open jobs that a lone inline worker cannot
-        release — which a dependency cycle would produce.
-        """
-        name = InlineWorkerPool.name
-        while True:
-            job = queue.pop()
-            if job is None:
-                return queue.open_jobs() == 0
-            spec = job.spec
-            if (
-                self.worker_cache_check
-                and self.cache is not None
-                and job.attempts <= 1
-            ):
-                hit = self.cache.get(spec)
-                if hit is not None:
-                    self._mark_cached(job, hit, queue)
-                    continue
-            self._record_wait(job)
-            self.inflight[name] = self.inflight.get(name, 0) + 1
-            try:
-                self._inline_attempts(job, queue)
-            finally:
-                self.inflight[name] = self.inflight.get(name, 1) - 1
-
-    def _inline_attempts(self, job: Job, queue: JobQueue) -> None:
-        """One job's retry loop on the inline path — span-for-span the
-        same topology and counters as :meth:`_attempt_loop`."""
-        spec = job.spec
-        name = InlineWorkerPool.name
-        prev_delay = self.retry.backoff_s
-        while True:
-            exec_ctx = self._exec_ctx(job)
-            ctx_dict = exec_ctx.to_dict() if exec_ctx is not None else None
-            span_start = clock.now()
-            start = clock.perf()
-            try:
-                result, wall, worker, trace, perf = (
-                    InlineWorkerPool._run(
-                        spec, self.timeout, self.obs, ctx_dict
-                    )
-                )
-            except TimeoutError as exc:
-                wall = clock.perf() - start
-                job.worker = name
-                self._record_exec(
-                    job, exec_ctx, span_start, "timeout", name, name
-                )
-                self.metrics.counter("scheduler.timeouts").inc()
-                if self.retry.should_retry(job.attempts):
-                    if self.on_retry is not None:
-                        self.on_retry(job, wall)
-                    queue.note_retry(job)
-                    self.metrics.counter("scheduler.retries").inc()
-                    prev_delay = self.retry.delay_s(
-                        prev_delay, self._retry_rng
-                    )
-                    clock.sleep(prev_delay)
-                    continue
-                job.wall_s = wall
-                self._fail_job(job, queue, exc, "timeout")
-                return
-            except Exception as exc:
-                # Deterministic simulation failure: retrying would
-                # only reproduce it, so fail immediately.
-                job.wall_s = clock.perf() - start
-                job.worker = name
-                self._record_exec(
-                    job, exec_ctx, span_start, "error", name, name
-                )
-                self._fail_job(job, queue, exc, "error")
-                return
-            else:
-                self._record_exec(
-                    job, exec_ctx, span_start, "ok", worker, name
-                )
-                self._finish_job(
-                    job, queue, result, wall, worker, trace, perf
-                )
-                return
-
-
-def _run_sync(coro: Any) -> Any:
-    """Drive ``coro`` to completion from synchronous code.
-
-    When the caller is already inside a running event loop (async code
-    calling the sync facade), the coroutine runs on a private loop on a
-    helper thread instead of deadlocking.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return asyncio.run(coro)
-    box: Dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = asyncio.run(coro)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join()
-    if "error" in box:
-        raise box["error"]
-    return box.get("result")
-
 
 __all__ = [
     "POOL_UNAVAILABLE",
@@ -1156,6 +967,6 @@ __all__ = [
     "RetryPolicy",
     "Scheduler",
     "TimeoutPolicy",
-    "build_pools",
+    "build_pool",
     "retry_delay_s",
 ]

@@ -3,7 +3,7 @@
 :class:`ExperimentService` wraps the runtime's long-lived half: one
 journalled :class:`~repro.runtime.queue.JobQueue`, one
 :class:`~repro.runtime.scheduler.Scheduler` serving on a background
-event loop with warm pools, one segment-backed
+thread with a warm pool, one segment-backed
 :class:`~repro.runtime.cache.ResultCache`, and one
 :class:`~repro.runtime.perf.PerfStore` — all rooted under the cache
 dir.  Batches submitted from any thread coalesce by spec hash (both
@@ -21,7 +21,7 @@ one execution and two streamed results).
   connection-close delimited, so ``curl -N`` tails it live;
 * ``GET /v1/status``   — queue/cache/scheduler counters;
 * ``GET /v1/metrics``  — the live metrics plane: Prometheus text
-  exposition (queue depth, per-shard in-flight, retry/steal/timeout
+  exposition (queue depth, in-flight jobs, retry/timeout/crash
   counters, cache hit ratio, events/sec EWMA, store gauges);
 * ``POST /v1/shutdown`` — drain and stop.
 
@@ -152,8 +152,6 @@ class _Batch:
     )
     outcomes: Dict[str, int] = field(default_factory=dict)
     finished: int = 0
-    #: Guard so the batch-root lifecycle span is recorded exactly once.
-    root_recorded: bool = False
 
     @property
     def total(self) -> int:
@@ -178,10 +176,11 @@ class ExperimentService:
     """The long-lived runtime: journalled queue + warm scheduler.
 
     Thread model: HTTP handler threads call :meth:`submit_batch` /
-    :meth:`stream_batch` / :meth:`status`; the scheduler owns a private
-    event loop on a background thread; the queue mediates (it is the
-    only structure both sides touch, and it locks internally).  The
-    result cache is touched only from the scheduler side.
+    :meth:`stream_batch` / :meth:`status`; the scheduler serves on a
+    background thread (plus one thread per pool slot); the queue
+    mediates (it is the only structure both sides touch, and it locks
+    internally).  The result cache is touched only from the scheduler
+    side.
     """
 
     def __init__(
@@ -218,11 +217,9 @@ class ExperimentService:
             cache=self.cache,
             perf_store=self.perf_store,
         )
-        self.scheduler.worker_cache_check = True
         self.scheduler.recorder = self.recorder
         self.scheduler.flight_dir = self.cache_dir / "flight"
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
         self._lock = threading.Lock()
         self._batches: Dict[str, _Batch] = {}
         self._batch_seq = 0
@@ -231,25 +228,15 @@ class ExperimentService:
     # -- lifecycle --------------------------------------------------
 
     def start(self) -> "ExperimentService":
-        """Spin up the scheduler loop; returns self once it serves."""
+        """Start serving on a background thread; returns self."""
         if self._thread is not None:
             return self
-
-        def _serve() -> None:
-            import asyncio
-
-            async def _main() -> None:
-                self._started.set()
-                await self.scheduler.serve(self.queue)
-
-            asyncio.run(_main())
-
         self._started_t = clock.now()
         self._thread = threading.Thread(
-            target=_serve, name="repro-service", daemon=True
+            target=self.scheduler.serve, args=(self.queue,),
+            name="repro-service", daemon=True,
         )
         self._thread.start()
-        self._started.wait(timeout=10.0)
         return self
 
     def stop(self) -> None:
@@ -323,7 +310,7 @@ class ExperimentService:
             callback = self._make_callback(batch, index, fresh)
             if not self.queue.subscribe(job, callback):
                 callback(job)  # already terminal: emit immediately
-        self.scheduler.kick_threadsafe()
+        self.scheduler.kick()
         summary = batch.describe()
         summary.update({"submitted": len(specs), "fresh": fresh_count,
                         "coalesced": len(specs) - fresh_count})
@@ -360,20 +347,19 @@ class ExperimentService:
                 except Exception:
                     event["result"] = None
             with self._lock:
-                batch.finished += 1
                 batch.outcomes[outcome] = batch.outcomes.get(outcome, 0) + 1
-                record_root = batch.done and not batch.root_recorded
-                if record_root:
-                    batch.root_recorded = True
-            # Close the root span and flush telemetry *before* the
-            # event that lets stream waiters observe completion, so a
-            # status()/scrape racing the last callback sees them.
-            if record_root:
-                self._record_batch_root(batch)
-                # One durable store-telemetry snapshot per batch, same
-                # as the batch runtime's run_batch() path.
-                self.scheduler.flush_telemetry(self.queue)
-            batch.events.put(event)
+                if batch.finished + 1 == batch.total:
+                    # The last job: close the root span and flush one
+                    # durable store-telemetry snapshot (as run_batch
+                    # does) before the batch counts as done, so a
+                    # status()/scrape that sees it done sees them too.
+                    self._record_batch_root(batch)
+                    self.scheduler.flush_telemetry(self.queue)
+                # Count and queue the event in one step under the lock
+                # stream_batch checks under: a stream can never see the
+                # batch done while this event is still missing.
+                batch.finished += 1
+                batch.events.put(event)
 
         return _on_done
 
@@ -506,8 +492,8 @@ class ExperimentService:
     def metrics_text(self) -> str:
         """The Prometheus exposition document for ``GET /v1/metrics``.
 
-        Series: queue lifetime counters and depth, per-shard in-flight
-        gauges, the scheduler's retry/steal/timeout/cache counters,
+        Series: queue lifetime counters and depth, in-flight gauges
+        per pool, the scheduler's retry/timeout/crash/cache counters,
         result-store telemetry with a derived hit ratio, store size
         gauges, the events/sec EWMA, and recorder/batch totals.
         """
@@ -526,10 +512,10 @@ class ExperimentService:
             ).add(float(self.queue.open_jobs()))
         )
         inflight = MetricFamily(
-            "repro_jobs_in_flight", "gauge", "jobs executing per shard"
+            "repro_jobs_in_flight", "gauge", "jobs executing per pool"
         )
-        for shard, count in sorted(self.scheduler.inflight.items()):
-            inflight.add(float(count), shard=shard)
+        for pool, count in sorted(self.scheduler.inflight.items()):
+            inflight.add(float(count), shard=pool)
         families.append(inflight)
         families.extend(registry_families(self.scheduler.metrics))
         telemetry = self.cache.telemetry.to_dict()

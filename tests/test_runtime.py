@@ -7,6 +7,7 @@ retry/failure bookkeeping) do not depend on scale.
 
 import io
 import json
+import os
 import signal
 import time
 
@@ -34,6 +35,8 @@ from repro.runtime import (
     use_runtime,
 )
 from repro.runtime import spec as spec_mod
+from repro.runtime.queue import JobQueue
+from repro.runtime.scheduler import BatchSink, RetryPolicy, Scheduler
 from repro.units import mib
 
 pytestmark = pytest.mark.runtime
@@ -293,23 +296,126 @@ class TestRunMany:
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs SIGALRM timeouts"
     )
-    def test_timeout_is_retried_then_failed(self, tmp_path, scratch_builder):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_is_retried_then_failed(
+        self, tmp_path, scratch_builder, jobs
+    ):
         def sleepy(spec):
             time.sleep(5.0)
 
         scratch_builder("sleepy-test", sleepy)
+        # Two specs, so jobs=2 really runs them in a process pool.
+        specs = [RunSpec("emptcp", "sleepy-test", seed=s) for s in range(2)]
         manifest_path = tmp_path / "run.jsonl"
         with RunManifest(manifest_path) as manifest:
             with pytest.raises(ExecutionError, match="timeout"):
                 run_many(
-                    [RunSpec("emptcp", "sleepy-test")],
+                    specs,
+                    jobs=jobs,
                     manifest=manifest,
                     timeout_s=0.05,
                     retries=1,
                     backoff_s=0.0,
                 )
+        entries = RunManifest.read(manifest_path)
+        assert sorted(e.outcome for e in entries) == [
+            "failed", "failed", "retried", "retried",
+        ]
+        if jobs > 1:
+            assert {e.worker for e in entries} == {"pool"}
+
+    def test_crashed_worker_is_retried_on_a_rebuilt_pool(
+        self, tmp_path, scratch_builder
+    ):
+        test_pid = os.getpid()
+
+        def crash_once(spec):
+            # Kill the pool worker on the spec's first attempt only,
+            # and never the test process itself (an inline fallback).
+            if os.getpid() != test_pid:
+                try:
+                    fd = os.open(
+                        spec.kwargs["marker"],
+                        os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                    )
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    os._exit(1)
+            return spec.seed
+
+        scratch_builder(
+            "crash-once-test", crash_once,
+            encode=lambda value: {"value": value},
+            decode=lambda doc: doc["value"],
+        )
+        specs = [
+            RunSpec("emptcp", "crash-once-test",
+                    kwargs={"marker": str(tmp_path / f"crashed-{s}")},
+                    seed=s)
+            for s in range(2)
+        ]
+        scheduler = Scheduler(
+            jobs=2, retry=RetryPolicy(retries=2, backoff_s=0.0)
+        )
+        manifest_path = tmp_path / "run.jsonl"
+        with RunManifest(manifest_path) as manifest:
+            sink = BatchSink(specs, manifest=manifest)
+            queue = JobQueue()
+            for index, spec in enumerate(specs):
+                job, _ = queue.submit(spec, on_done=sink.on_terminal)
+                sink.register(index, job)
+            scheduler.run_batch(queue, sink)
+
+        assert sink.results == [0, 1] and not sink.failures
+        entries = RunManifest.read(manifest_path)
+        assert any(e.outcome == "retried" for e in entries)
+        for spec in specs:
+            lines = [e for e in entries if e.spec_hash == spec.content_hash()]
+            assert lines[-1].outcome == "executed"
+        counters = scheduler.metrics.to_dict()["counters"]
+        assert counters["scheduler.crashes"] >= 1
+
+    def test_worker_threads_lose_no_update(self, tmp_path, scratch_builder):
+        """More worker threads than cores, switching threads as often as
+        the interpreter allows: every job settles exactly once."""
+        import sys
+        import threading
+
+        scratch_builder(
+            "echo-seed-test", lambda spec: spec.seed,
+            encode=lambda value: {"value": value},
+            decode=lambda doc: doc["value"],
+        )
+        specs = [RunSpec("emptcp", "echo-seed-test", seed=s)
+                 for s in range(300)]
+        scheduler = Scheduler(jobs=3)
+        manifest_path = tmp_path / "run.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RunManifest(manifest_path) as manifest:
+                sink = BatchSink(specs, manifest=manifest)
+                queue = JobQueue()
+                for index, spec in enumerate(specs):
+                    job, _ = queue.submit(spec, on_done=sink.on_terminal)
+                    sink.register(index, job)
+                driver = threading.Thread(
+                    target=scheduler.run_batch, args=(queue, sink)
+                )
+                driver.start()
+                driver.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive()
+        assert sink.results == list(range(300)) and not sink.failures
+        assert queue.stats.completed == 300
+        counters = scheduler.metrics.to_dict()["counters"]
+        assert counters["scheduler.jobs_done"] == 300
+        assert scheduler.inflight == {"pool": 0}
         outcomes = [e.outcome for e in RunManifest.read(manifest_path)]
-        assert outcomes == ["retried", "failed"]
+        assert outcomes == ["executed"] * 300
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigurationError):

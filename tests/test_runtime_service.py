@@ -5,6 +5,7 @@ across concurrent batches, and the stdlib HTTP/JSONL front-end
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -115,6 +116,24 @@ class TestServiceInProcess:
         assert settled == 4  # every batch's waiter observed the outcome
         assert service.queue.stats.submitted == 1
         assert service.queue.stats.deduped == 3
+
+
+    def test_last_job_event_streams_before_the_summary(self, tmp_path):
+        """A stream that sees the batch done must also see its last job
+        event, however slowly that event is queued."""
+        svc = ExperimentService(tmp_path / "cache", jobs=1)
+        summary = svc.submit_batch([small_spec().to_dict()])
+        events = svc.get_batch(summary["batch"]).events
+        put = events.put
+
+        def slow_put(event, *args, **kwargs):
+            time.sleep(0.3)  # longer than stream_batch's 0.2 s poll
+            put(event, *args, **kwargs)
+
+        events.put = slow_put
+        with svc:
+            streamed = list(svc.stream_batch(summary["batch"]))
+        assert [e["event"] for e in streamed] == ["job", "summary"]
 
 
 class TestHTTPService:
