@@ -32,12 +32,16 @@ trace-smoke:  ## one traced smoke run; the exported JSONL must validate
 	PYTHONPATH=src $(PY) -m repro.cli trace summarize .trace-smoke/obs
 	rm -rf .trace-smoke
 
-packet-smoke:  ## emptcp end-to-end on the packet engine, traced + cached
+packet-smoke:  ## emptcp good + mptcp bad (SACK recovery) on the packet engine, traced + cached
 	rm -rf .packet-smoke
 	PYTHONPATH=src $(PY) -m repro.cli run emptcp good --engine packet \
 		--runs 1 --size-mb 2 --trace --cache --cache-dir .packet-smoke \
 		--manifest .packet-smoke/manifest.jsonl --no-progress > /dev/null
 	test -s .packet-smoke/manifest.jsonl
+	PYTHONPATH=src $(PY) -m repro.cli check trace .packet-smoke/obs
+	PYTHONPATH=src $(PY) -m repro.cli run mptcp bad --engine packet \
+		--runs 1 --size-mb 2 --trace --cache --cache-dir .packet-smoke \
+		--no-progress > /dev/null
 	PYTHONPATH=src $(PY) -m repro.cli check trace .packet-smoke/obs
 	PYTHONPATH=src $(PY) -m repro.cli validate --size-mb 2 --no-progress
 	rm -rf .packet-smoke

@@ -17,9 +17,10 @@ receive buffer).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.packet.link import PacketLink, Segment
 from repro.sim.engine import EventHandle, Simulator
 from repro.tcp.rtt import RttEstimator
@@ -47,6 +48,7 @@ class SubflowReceiver:
         self.rcv_nxt = 0.0
         self._deliver = deliver
         self._buffered: Dict[float, Segment] = {}
+        self._buffered_seqs: List[float] = []  # keys of _buffered, ascending
         self._last_ooo_seq: Optional[float] = None
         self.duplicate_segments = 0
 
@@ -55,12 +57,16 @@ class SubflowReceiver:
         if segment.seq + segment.size <= self.rcv_nxt:
             self.duplicate_segments += 1
         elif segment.seq > self.rcv_nxt:
-            self._buffered.setdefault(segment.seq, segment)
+            if segment.seq not in self._buffered:
+                self._buffered[segment.seq] = segment
+                insort(self._buffered_seqs, segment.seq)
             self._last_ooo_seq = segment.seq
         else:
             # In order (possibly overlapping the left edge).
             self._advance(segment)
             while self.rcv_nxt in self._buffered:
+                seqs = self._buffered_seqs
+                del seqs[bisect_left(seqs, self.rcv_nxt)]
                 self._advance(self._buffered.pop(self.rcv_nxt))
         return self.rcv_nxt, self.sack_blocks()
 
@@ -78,7 +84,7 @@ class SubflowReceiver:
         blocks: List[Tuple[float, float]] = []
         start: Optional[float] = None
         end = 0.0
-        for seq in sorted(self._buffered):
+        for seq in self._buffered_seqs:
             segment = self._buffered[seq]
             if start is None:
                 start, end = seq, seq + segment.size
@@ -147,7 +153,11 @@ class PacketTcpConnection:
         self._rtx_done: set = set()  # lost seqs already retransmitted
         self._highest_sacked = 0.0
         self._all_lost = False  # post-RTO: every unSACKed segment is lost
+        self._pipe_bytes = 0.0  # RFC 6675 pipe, kept by _adjust_pipe
+        # Every unacked seq below this one is SACKed or retransmitted.
+        self._rtx_scan_from = 0.0
         self._rto_handle: Optional[EventHandle] = None
+        self._rto_deadline = 0.0
         self._rto_backoff = 1.0
         self.fast_retransmits = 0
         self.timeouts = 0
@@ -195,16 +205,38 @@ class PacketTcpConnection:
     def _pipe(self) -> float:
         """Bytes considered in flight under the SACK scoreboard: unacked
         and not SACKed, excluding lost segments that have not been
-        retransmitted (RFC 6675's pipe, simplified)."""
+        retransmitted (RFC 6675's pipe, simplified).
+
+        Kept as a running count: every change to a segment's SACKed,
+        lost or retransmitted state goes through :meth:`_adjust_pipe`
+        (or, for whole-window changes, the RTO and recovery exit)."""
+        return self._pipe_bytes
+
+    def _reference_pipe(self) -> float:
+        """Full recompute of :meth:`_pipe`, for tests."""
         pipe = 0.0
         for seq in self._order:
-            segment = self._segments[seq]
             if seq in self._sacked:
                 continue
             if self._is_lost(seq) and seq not in self._rtx_done:
                 continue
-            pipe += segment.size
+            pipe += self._segments[seq].size
         return pipe
+
+    def _in_pipe(self, seq: float, size: float) -> bool:
+        """Whether one unacked segment counts towards the pipe."""
+        if seq in self._sacked:
+            return False
+        if seq in self._rtx_done:
+            return True
+        return not self._all_lost and seq + size > self._highest_sacked
+
+    def _adjust_pipe(self, seq: float, size: float, was_in: bool) -> None:
+        """Account for a state change of one segment that counted
+        towards the pipe iff ``was_in``."""
+        now_in = self._in_pipe(seq, size)
+        if now_in != was_in:
+            self._pipe_bytes += size if now_in else -size
 
     def _is_lost(self, seq: float) -> bool:
         """A hole below the highest SACKed byte counts as lost; after an
@@ -219,12 +251,22 @@ class PacketTcpConnection:
     def _try_send(self) -> None:
         if self.closed:
             return
-        budget = 512  # safety valve against pathological loops
-        while budget > 0:
-            budget -= 1
-            pipe = self._pipe() if self.in_recovery else self.flight_size
+        # Within one call nothing leaves the pipe, so every pass that
+        # does not break sends: new data (snd_nxt grows) or a
+        # retransmission (pipe grows).  A pass that does neither would
+        # loop forever.
+        progress: Optional[Tuple[float, float]] = None
+        while True:
+            pipe = self._pipe_bytes if self.in_recovery else self.flight_size
             if pipe + self.mss > self.cwnd + 1e-9:
                 break
+            state = (self.snd_nxt, pipe)
+            if progress is not None and state <= progress:
+                raise SimulationError(
+                    f"{self.name}: send loop made no progress "
+                    f"(snd_nxt={self.snd_nxt}, pipe={pipe})"
+                )
+            progress = state
             if self.in_recovery:
                 outcome = self._retransmit_next_lost()
                 if outcome is True:
@@ -244,6 +286,7 @@ class PacketTcpConnection:
             )
             self._segments[segment.seq] = segment
             self._order.append(segment.seq)
+            self._adjust_pipe(segment.seq, size, False)
             self.snd_nxt += size
             self.link.send(segment, self._segment_arrived)
             self._arm_rto()
@@ -266,14 +309,43 @@ class PacketTcpConnection:
         self._try_send()
 
     def _absorb_sacks(self, sacks: "SackBlocks") -> None:
+        order = self._order
         for start, end in sacks:
-            self._highest_sacked = max(self._highest_sacked, end)
-            for seq in self._order:
+            if end > self._highest_sacked:
+                self._raise_highest_sacked(end)
+            i = bisect_left(order, start)
+            while i < len(order) and order[i] < end:
+                seq = order[i]
+                i += 1
                 if seq in self._sacked:
                     continue
-                segment = self._segments[seq]
-                if start <= seq and seq + segment.size <= end:
+                size = self._segments[seq].size
+                if seq + size <= end:
+                    was_in = self._in_pipe(seq, size)
                     self._sacked.add(seq)
+                    self._adjust_pipe(seq, size, was_in)
+
+    def _raise_highest_sacked(self, highest: float) -> None:
+        """Advance the highest SACKed byte; the unSACKed segments it now
+        covers become lost (those ending at or below the old mark
+        already were).  SACK edges are segment ends, so no segment
+        straddles the old mark."""
+        old = self._highest_sacked
+        self._highest_sacked = highest
+        order = self._order
+        i = bisect_left(order, old)
+        while i < len(order):
+            seq = order[i]
+            size = self._segments[seq].size
+            if seq + size > highest:
+                break  # segments are disjoint, so ends ascend with seqs
+            if (
+                not self._all_lost
+                and seq not in self._sacked
+                and seq not in self._rtx_done
+            ):
+                self._pipe_bytes -= size
+            i += 1
 
     def _on_new_ack(self, ack_no: float) -> None:
         acked = ack_no - self.snd_una
@@ -283,9 +355,7 @@ class PacketTcpConnection:
         self._sample_rtt(ack_no)  # before the acked segments are dropped
         self._drop_acked(ack_no)
         if self.in_recovery and ack_no >= self.recovery_point:
-            self.in_recovery = False
-            self._all_lost = False
-            self._rtx_done.clear()
+            self._exit_recovery()
         if not self.in_recovery or self._all_lost:
             # Post-RTO recovery is slow start: the window grows while
             # the scoreboard paces the retransmissions.
@@ -313,6 +383,30 @@ class PacketTcpConnection:
             self.cwnd = self.ssthresh
             self._retransmit_next_lost(force_first=True)
 
+    def _exit_recovery(self) -> None:
+        """Leave loss recovery: loss marks from an RTO and the record of
+        retransmissions are forgotten, and the pipe follows."""
+        was_all_lost = self._all_lost
+        self.in_recovery = False
+        self._all_lost = False
+        if was_all_lost or self._rtx_done:
+            for seq in self._order:
+                if seq in self._sacked:
+                    continue
+                size = self._segments[seq].size
+                lost = seq + size <= self._highest_sacked
+                if seq in self._rtx_done:
+                    if lost:
+                        self._pipe_bytes -= size
+                elif was_all_lost and not lost:
+                    self._pipe_bytes += size
+        self._forget_retransmissions()
+
+    def _forget_retransmissions(self) -> None:
+        """Make every segment eligible for retransmission again."""
+        self._rtx_done.clear()
+        self._rtx_scan_from = 0.0
+
     def _retransmit_next_lost(self, force_first: bool = False):
         """Retransmit the lowest lost, not-yet-retransmitted segment.
 
@@ -322,17 +416,26 @@ class PacketTcpConnection:
         the segment at ``snd_una`` even if the SACK scoreboard has no
         evidence yet (classic 3-dupack fast retransmit before any SACK
         arrived)."""
-        for seq in self._order:
-            if (
-                not self._all_lost
-                and seq >= self._highest_sacked
-                and not (force_first and seq == self.snd_una)
-            ):
-                break  # nothing beyond the highest SACK can be "lost" yet
-            if seq in self._sacked or seq in self._rtx_done:
-                continue
-            if self._is_lost(seq) or (force_first and seq == self.snd_una):
+        order = self._order
+        if force_first and order and order[0] == self.snd_una:
+            seq = order[0]
+            if seq not in self._sacked and seq not in self._rtx_done:
                 return self._retransmit(seq)
+        # Segments stay SACKed or retransmitted until acked, an RTO or
+        # the end of recovery, so the scan resumes where it last
+        # stopped.  Ends ascend with seqs: if the first candidate is not
+        # lost, no later segment is.
+        i = bisect_left(order, self._rtx_scan_from)
+        while i < len(order) and (
+            order[i] in self._sacked or order[i] in self._rtx_done
+        ):
+            i += 1
+        if i == len(order):
+            self._rtx_scan_from = self.snd_nxt
+            return None
+        seq = self._rtx_scan_from = order[i]
+        if self._is_lost(seq):
+            return self._retransmit(seq)
         return None
 
     def _retransmit(self, seq: float) -> bool:
@@ -351,7 +454,9 @@ class PacketTcpConnection:
         accepted = self.link.send(resend, self._segment_arrived)
         if accepted:
             self._segments[resend.seq] = resend
+            was_in = self._in_pipe(seq, resend.size)
             self._rtx_done.add(seq)
+            self._adjust_pipe(seq, resend.size, was_in)
             self._arm_rto()
         return accepted
 
@@ -359,9 +464,17 @@ class PacketTcpConnection:
     # RTO
 
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        delay = self.rtt.rto * self._rto_backoff
-        self._rto_handle = self.sim.schedule(delay, self._rto_fired)
+        """(Re)start the retransmission timer.  Re-arming to a later
+        deadline keeps the pending event, which wakes up early and
+        re-schedules itself; only an earlier deadline needs a new one."""
+        deadline = self.sim.now + self.rtt.rto * self._rto_backoff
+        self._rto_deadline = deadline
+        handle = self._rto_handle
+        if handle is not None:
+            if handle.time <= deadline:
+                return
+            handle.cancel()
+        self._rto_handle = self.sim.schedule_at(deadline, self._rto_fired)
 
     def _cancel_rto(self) -> None:
         if self._rto_handle is not None:
@@ -369,6 +482,11 @@ class PacketTcpConnection:
             self._rto_handle = None
 
     def _rto_fired(self) -> None:
+        if self.sim.now < self._rto_deadline:
+            self._rto_handle = self.sim.schedule_at(
+                self._rto_deadline, self._rto_fired
+            )
+            return
         self._rto_handle = None
         if self.closed or self.flight_size <= 0:
             return
@@ -382,7 +500,8 @@ class PacketTcpConnection:
         self.in_recovery = True
         self.recovery_point = self.snd_nxt
         self._all_lost = True
-        self._rtx_done.clear()  # everything may be retransmitted again
+        self._forget_retransmissions()
+        self._pipe_bytes = 0.0  # every unSACKed segment is now lost
         self._rto_backoff = min(64.0, self._rto_backoff * 2.0)
         if self._order:
             self._retransmit(self._order[0])
@@ -394,18 +513,25 @@ class PacketTcpConnection:
     # bookkeeping
 
     def _drop_acked(self, ack_no: float) -> None:
-        while self._order and self._order[0] < ack_no:
-            seq = self._order.pop(0)
-            self._segments.pop(seq, None)
+        acked = bisect_left(self._order, ack_no)
+        for seq in self._order[:acked]:
+            segment = self._segments.pop(seq)
+            if self._in_pipe(seq, segment.size):
+                self._pipe_bytes -= segment.size
             self._sacked.discard(seq)
             self._rtx_done.discard(seq)
+        del self._order[:acked]
 
     def _sample_rtt(self, ack_no: float) -> None:
         # Karn's rule: only segments never retransmitted produce samples.
         # The segment ending exactly at ack_no is the freshest candidate;
         # approximate by using the most recent fully-acked original.
+        # Segments at or above ack_no cannot be fully acked.
         candidate: Optional[Segment] = None
-        for seq, segment in list(self._segments.items()):
+        for seq in self._order:
+            if seq >= ack_no:
+                break
+            segment = self._segments[seq]
             if seq + segment.size <= ack_no and not segment.retransmit:
                 if candidate is None or segment.sent_at > candidate.sent_at:
                     candidate = segment

@@ -9,14 +9,16 @@ Determinism
 -----------
 Events with equal timestamps fire in scheduling order (a monotonically
 increasing sequence number breaks ties), so a simulation driven by
-seeded random streams is fully reproducible.
+seeded random streams is fully reproducible.  The heap holds
+``(time, seq, handle)`` tuples: ``seq`` is unique, so ``heapq`` orders
+entries by comparing two numbers in C and never reaches the handles.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.errors import SimulationError
@@ -86,9 +88,6 @@ class EventHandle:
         """True while the event has neither fired nor been cancelled."""
         return not self.cancelled and self.callback is not None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
@@ -110,7 +109,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -146,9 +145,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self._now}"
             )
-        handle = EventHandle(time, self._seq, callback, tuple(args))
-        self._seq += 1
-        heapq.heappush(self._queue, handle)
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def stop(self) -> None:
@@ -158,20 +158,20 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         self._drop_cancelled()
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
 
     def step(self) -> bool:
         """Run exactly one event.  Returns False if none was pending."""
         self._drop_cancelled()
         if not self._queue:
             return False
-        handle = heapq.heappop(self._queue)
+        self._now, _, handle = heapq.heappop(self._queue)
         assert handle.callback is not None
-        self._now = handle.time
         callback, args = handle.callback, handle.args
         # Mark fired before invoking so a callback cancelling its own
         # handle is harmless.
@@ -214,7 +214,7 @@ class Simulator:
                 self._drop_cancelled()
                 if not self._queue:
                     break
-                if until is not None and self._queue[0].time > until:
+                if until is not None and self._queue[0][0] > until:
                     break
                 self.step()
                 processed += 1
@@ -233,4 +233,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for h in self._queue if not h.cancelled)
+        return sum(1 for _, _, handle in self._queue if not handle.cancelled)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.bandwidth import ConstantCapacity, PiecewiseTraceCapacity
 from repro.net.interface import InterfaceKind
 from repro.packet.link import PacketLink, Segment
@@ -233,3 +233,20 @@ class TestEndToEnd:
         )
         with pytest.raises(ConfigurationError):
             PacketMptcpConnection(sim, [link], FiniteSource(1.0), rcv_buffer=0.0)
+
+    def test_send_loop_without_progress_raises(self):
+        """A recovery pass that reports a retransmission but sends
+        nothing would spin forever; it is an invariant violation."""
+        sim = Simulator()
+        link = PacketLink(
+            sim,
+            ConstantCapacity(mbps_to_bytes_per_sec(8.0)),
+            one_way_delay=0.02,
+            rng=random.Random(1),
+        )
+        conn = single_path_connection(sim, link, FiniteSource(mib(1)))
+        (subflow,) = conn.subflows
+        subflow.in_recovery = True
+        subflow._retransmit_next_lost = lambda: True
+        with pytest.raises(SimulationError, match="no progress"):
+            conn.open()

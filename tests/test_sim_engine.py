@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.net.bandwidth import ConstantCapacity
+from repro.packet.link import PacketLink
+from repro.packet.tcp import PacketTcpConnection
 from repro.sim.engine import Simulator
 
 
@@ -29,6 +32,44 @@ def test_equal_time_events_fire_in_schedule_order():
         sim.schedule(1.0, fired.append, tag)
     sim.run()
     assert fired == [0, 1, 2, 3, 4]
+
+
+def test_equal_time_events_keep_schedule_order_around_cancelled_ones():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(1.0, fired.append, tag) for tag in range(10)]
+    sim.schedule(0.5, fired.append, "early")
+    for handle in handles[1::2]:
+        handle.cancel()
+    # A re-armed timer lands behind everything already at its time.
+    handles[0].cancel()
+    sim.schedule(1.0, fired.append, "rearmed")
+    sim.run()
+    assert fired == ["early", 2, 4, 6, 8, "rearmed"]
+
+
+def test_rto_moved_later_fires_once_at_the_later_deadline():
+    """Re-arming to a later deadline keeps the pending event; it wakes
+    at the old deadline, re-schedules itself, and times out only at the
+    new one."""
+    sim = Simulator()
+    link = PacketLink(sim, ConstantCapacity(1e6), one_way_delay=0.01)
+    chunks = [(0.0, 1000.0)]
+    conn = PacketTcpConnection(
+        sim,
+        link,
+        assigner=lambda _max: chunks.pop() if chunks else None,
+        deliver=lambda _dsn, _size: None,
+    )
+    conn._segment_arrived = lambda _segment: None  # the ACK never comes
+    conn.start()  # initial RTO: 1 s
+    sim.schedule(0.25, conn._arm_rto)
+    sim.run(until=1.2499)
+    assert conn.timeouts == 0
+    sim.run(until=1.25)
+    assert conn.timeouts == 1
+    sim.run(until=3.0)  # the backed-off timer is due at 1.25 + 2 s
+    assert conn.timeouts == 1
 
 
 def test_clock_advances_to_event_time():
