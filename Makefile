@@ -46,17 +46,13 @@ packet-smoke:  ## emptcp good + mptcp bad (SACK recovery) on the packet engine, 
 	PYTHONPATH=src $(PY) -m repro.cli validate --size-mb 2 --no-progress
 	rm -rf .packet-smoke
 
-perf-smoke:  ## tiny bench record, self-compare (0 regressions), profiler table
-	rm -rf .perf-smoke && mkdir -p .perf-smoke
-	PYTHONPATH=src $(PY) -m repro.cli perf record --size-mb 2 --runs 2 \
-		--output .perf-smoke/bench.json 2> /dev/null
-	PYTHONPATH=src $(PY) -m repro.cli check perf .perf-smoke/bench.json
-	PYTHONPATH=src $(PY) -m repro.cli perf compare \
-		.perf-smoke/bench.json .perf-smoke/bench.json
+perf-smoke:  ## profiler table, then a profiled packet run whose span export must pass CHK602/603
+	rm -rf .perf-smoke
 	PYTHONPATH=src $(PY) -m repro.cli perf profile emptcp good --size-mb 2
-	PYTHONPATH=src $(PY) -c "from repro.runtime.bench import \
-		format_overhead, profiling_overhead; \
-		print(format_overhead(profiling_overhead(4.0)))"
+	PYTHONPATH=src $(PY) -m repro.cli run emptcp good --engine packet \
+		--runs 1 --size-mb 2 --profile --obs-dir .perf-smoke/obs \
+		--no-progress > /dev/null
+	PYTHONPATH=src $(PY) -m repro.cli check perf .perf-smoke/obs
 	rm -rf .perf-smoke
 
 fleet-smoke:  ## 1k-session flow-tier fleet under a time budget, obs-sampled

@@ -141,10 +141,8 @@ _UNIT_SUFFIXES = ("_j", "_w", "_s", "_mw", "_ns", "_ms")
 #: Quantity roots that demand a unit suffix when they name a scalar.
 _QUANTITY_ROOTS = ("bandwidth", "throughput", "energy", "power", "rate")
 
-#: ``rate`` names that are probabilities/counters, not data rates
-#: ("migrated" only contains "rate" by spelling accident).
-_RATE_EXEMPT = ("loss", "drop", "hit", "miss", "error", "sample_rate", "frame",
-                "migrated")
+#: ``rate`` names that are probabilities/counters, not data rates.
+_RATE_EXEMPT = ("loss", "drop", "hit", "miss", "error", "sample_rate", "frame")
 
 #: Non-scalar shapes a quantity root may legitimately name.
 _NONSCALAR_HINTS = (

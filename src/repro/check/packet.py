@@ -12,11 +12,8 @@ the paper's claims depend on:
   paper's Bad/Bad observations, which the fluid model only
   approximates (see EXPERIMENTS.md).
 
-Historically this lived at ``repro.packet.validate`` with its own
-ad-hoc reporting; it now shares the checker's
-:class:`~repro.check.findings.Report` vocabulary
-(:func:`agreement_report`), and the old import path is a deprecation
-shim.
+Findings use the checker's :class:`~repro.check.findings.Report`
+vocabulary (:func:`agreement_report`).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Perf-telemetry invariants (CHK6xx) — the profiler/perf check tier.
+"""Perf-telemetry invariants (CHK6xx) — the profiler and PerfRecord check tier.
 
 Validates the two artefacts :mod:`repro.obs.prof` and
 :mod:`repro.runtime.perf` produce:
 
-* **CHK601** — a perf/bench record is schema-complete and internally
-  consistent: required keys present, counters non-negative, and the
-  claimed throughput matches ``events / wall_s`` (bench records keep
-  the best repeat wholesale, so the identity holds exactly up to
-  float noise).
+* **CHK601** — a :class:`~repro.runtime.perf.PerfRecord` (the
+  ``perf`` field of a run-manifest line) is schema-complete and
+  internally consistent: required keys present, counters
+  non-negative, and the claimed throughput matches ``events / wall_s``
+  up to float noise.
 * **CHK602** — a span export is a well-formed tree: every non-root
   path has its parent in the export, counts are positive, totals
   non-negative, and depth agrees with the path.
@@ -24,10 +24,10 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Union
 
-from repro.check.findings import Report, Severity
+from repro.check.findings import Report
 from repro.obs.prof import PATH_SEP
 
-#: Required keys of a PerfRecord dict (bench records add key/repeats).
+#: Required keys of a PerfRecord dict.
 PERF_RECORD_KEYS = (
     "spec_hash",
     "engine",
@@ -53,14 +53,14 @@ def check_perf_record(
     report: Report,
     where: str = "",
 ) -> None:
-    """CHK601 over one perf/bench record dict."""
+    """CHK601 over one ``PerfRecord`` dict."""
     report.checked += 1
     context = where or str(record.get("label") or record.get("key") or "")
     missing = [key for key in PERF_RECORD_KEYS if key not in record]
     if missing:
         report.add(
             "CHK601",
-            f"perf record missing key(s): {', '.join(missing)}",
+            f"PerfRecord missing key(s): {', '.join(missing)}",
             context=context,
         )
         return
@@ -72,7 +72,7 @@ def check_perf_record(
     except (TypeError, ValueError) as exc:
         report.add(
             "CHK601",
-            f"perf record has non-numeric field: {exc}",
+            f"PerfRecord has non-numeric field: {exc}",
             context=context,
         )
         return
@@ -81,7 +81,7 @@ def check_perf_record(
         if value < 0:
             report.add(
                 "CHK601",
-                f"perf record field {name} is negative ({value})",
+                f"PerfRecord field {name} is negative ({value})",
                 context=context,
             )
     if wall > 0:
@@ -94,19 +94,6 @@ def check_perf_record(
                 f"events/wall_s = {expected:.2f}",
                 context=context,
             )
-
-
-def check_bench_doc(doc: Mapping[str, Any]) -> Report:
-    """CHK601 over every record of a bench document."""
-    report = Report(tier="perf")
-    records = doc.get("records")
-    if not isinstance(records, list):
-        report.checked += 1
-        report.add("CHK601", "bench document has no 'records' list")
-        return report
-    for record in records:
-        check_perf_record(record, report)
-    return report
 
 
 def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
@@ -180,21 +167,17 @@ def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
 
 
 def check_perf_target(target: Union[str, Path]) -> Report:
-    """CLI entry: CHK6xx over a bench JSON, a ``*.spans.json`` export,
-    or every such file under a directory."""
+    """CLI entry: CHK602/CHK603 over a ``*.spans.json`` export, or
+    every such file under a directory."""
     path = Path(target)
     report = Report(tier="perf")
     if path.is_dir():
-        files = sorted(
-            list(path.glob("BENCH_*.json")) + list(path.glob("*.spans.json"))
-        )
+        files = sorted(path.glob("*.spans.json"))
         if not files:
+            # An error, not a warning: a gate that found nothing to
+            # check must not pass.
             report.checked += 1
-            report.add(
-                "CHK601",
-                f"no BENCH_*.json or *.spans.json under {path}",
-                severity=Severity.WARNING,
-            )
+            report.add("CHK602", f"no *.spans.json under {path}")
             return report
         for file in files:
             sub = check_perf_target(file)
@@ -205,12 +188,14 @@ def check_perf_target(target: Union[str, Path]) -> Report:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         report.checked += 1
-        report.add("CHK601", f"cannot parse {path}: {exc}", path=str(path))
+        report.add("CHK602", f"cannot parse {path}: {exc}", path=str(path))
         return report
-    if "spans" in doc:
-        sub = check_spans(doc, where=path.name)
-    else:
-        sub = check_bench_doc(doc)
+    if not isinstance(doc, dict) or not isinstance(doc.get("spans"), list):
+        report.checked += 1
+        report.add("CHK602", f"{path} is not a span export (no 'spans' list)",
+                   path=str(path))
+        return report
+    sub = check_spans(doc, where=path.name)
     report.extend(sub.findings)
     report.checked += sub.checked
     return report
@@ -218,7 +203,6 @@ def check_perf_target(target: Union[str, Path]) -> Report:
 
 __all__ = [
     "PERF_RECORD_KEYS",
-    "check_bench_doc",
     "check_perf_record",
     "check_perf_target",
     "check_spans",

@@ -24,14 +24,14 @@ Supporting cast, unchanged in spirit:
 * :mod:`repro.runtime.executor` — the facade: ambient
   :class:`RuntimeContext`, :func:`run_many`/:func:`run_specs`;
 * :mod:`repro.runtime.cache` — the content-addressed result cache
-  (now over the segment store, with legacy-blob migration);
+  over the segment store;
 * :mod:`repro.runtime.clock` — the journaled wall-clock seam the
   determinism checks hold the queue/scheduler/store to;
 * :mod:`repro.runtime.manifest` / :mod:`repro.runtime.progress` —
   JSONL run manifests and live runs/sec + ETA reporting;
-* :mod:`repro.runtime.perf` / :mod:`repro.runtime.bench` — per-run
-  performance records, the content-addressed perf store, and the
-  ``repro perf record/compare`` benchmark suite.
+* :mod:`repro.runtime.perf` — per-run performance records and the
+  content-addressed perf store.  The repository benchmark lives
+  outside the package, in ``perfbench/``.
 
 Typical use::
 

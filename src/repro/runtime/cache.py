@@ -7,15 +7,7 @@ append-only JSONL segments plus an index, so a sweep's worth of
 results is a handful of files instead of one blob per run, lookups are
 one seek, and ``stats`` is pure ``os.stat`` metadata.
 
-Two generations coexist:
-
-* **segment entries** (current) — one indexed JSON line per result;
-* **legacy entries** (pre-segment) — ``<root>/results/<hash>.json``
-  blobs written by earlier releases.  A legacy entry is still a hit;
-  on first read it is transparently migrated into the segment store
-  and the blob removed, so an old cache converts itself as it is used.
-
-Invalidation rules are unchanged: the hash covers the protocol, the
+Invalidation rules: the hash covers the protocol, the
 builder name and kwargs, the seed, any config overrides, and the salt.
 Changing any of those — including bumping the package version or
 ``RUNTIME_SCHEMA_VERSION`` — misses the cache; stale entries are
@@ -25,7 +17,6 @@ clear``) or aged out with :meth:`ResultCache.evict`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -43,17 +34,14 @@ class CacheStats:
     """What ``emptcp-repro cache stats`` reports.
 
     Derived entirely from filesystem metadata (``os.stat`` on the
-    segments/index plus a directory listing of any legacy blobs) — no
-    entry is read or JSON-parsed, so stats on a huge cache stays
-    O(entries) in the index, not O(bytes).
+    segments/index) — no entry is read or JSON-parsed, so stats on a
+    huge cache stays O(entries) in the index, not O(bytes).
     """
 
     root: str
     entries: int
     total_bytes: int
-    #: Current-generation layout details.
     segments: int = 0
-    legacy_entries: int = 0
 
 
 class ResultCache:
@@ -70,29 +58,16 @@ class ResultCache:
         root: Union[str, Path] = DEFAULT_CACHE_ROOT,
         max_bytes: Optional[int] = None,
         max_age_s: Optional[float] = None,
-        migrate_legacy: bool = True,
     ):
         self.root = Path(root)
         self.store = SegmentStore(self.root / "store")
         self.max_bytes = max_bytes
         self.max_age_s = max_age_s
-        self.migrate_legacy = migrate_legacy
 
     @property
     def telemetry(self) -> StoreTelemetry:
         """Hit/miss/append/eviction counters (this instance's lifetime)."""
         return self.store.telemetry
-
-    @property
-    def results_dir(self) -> Path:
-        """Where legacy per-run JSON blobs live(d)."""
-        return self.root / "results"
-
-    def path_for(self, spec: RunSpec) -> Path:
-        """Where the given spec's *legacy* entry lives (whether or not
-        cached) — current entries live inside segments and have no
-        per-spec path."""
-        return self.results_dir / f"{spec.content_hash()}.json"
 
     def get(self, spec: RunSpec) -> Optional[Any]:
         """The decoded cached result, or None on any kind of miss."""
@@ -103,10 +78,7 @@ class ResultCache:
         return self._get_inner(spec)
 
     def _get_inner(self, spec: RunSpec) -> Optional[Any]:
-        spec_hash = spec.content_hash()
-        payload = self.store.get(spec_hash)
-        if payload is None:
-            payload = self._get_legacy(spec, spec_hash)
+        payload = self.store.get(spec.content_hash())
         if payload is None:
             return None
         if payload.get("salt") != code_salt():
@@ -115,26 +87,6 @@ class ResultCache:
             return get_builder(spec.builder).decode(payload["result"])
         except Exception:
             return None
-
-    def _get_legacy(
-        self, spec: RunSpec, spec_hash: str
-    ) -> Optional[Any]:
-        """Read a pre-segment blob; migrate it into the store on hit."""
-        path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if self.migrate_legacy and payload.get("salt") == code_salt():
-            try:
-                self.store.put(spec_hash, payload)
-                path.unlink()
-                self.store.telemetry.migrated += 1
-            except OSError:
-                pass  # migration is best-effort; the blob stays a hit
-        return payload
 
     def put(self, spec: RunSpec, result: Any) -> Path:
         """Store one result; returns the segment it was appended to."""
@@ -156,27 +108,13 @@ class ResultCache:
             self.store.evict(self.max_bytes, self.max_age_s)
         return self.store.root / self.store._segment_name
 
-    def _legacy_entries(self):
-        if not self.results_dir.is_dir():
-            return []
-        return sorted(self.results_dir.glob("*.json"))
-
     def stats(self) -> CacheStats:
         """Entry count and on-disk footprint, from metadata only."""
-        legacy = self._legacy_entries()
-        legacy_bytes = 0
-        for path in legacy:
-            try:
-                legacy_bytes += path.stat().st_size
-            except OSError:
-                pass
-        segments = self.store.segment_paths()
         return CacheStats(
             root=str(self.root),
-            entries=self.store.entry_count() + len(legacy),
-            total_bytes=self.store.total_bytes() + legacy_bytes,
-            segments=len(segments),
-            legacy_entries=len(legacy),
+            entries=self.store.entry_count(),
+            total_bytes=self.store.total_bytes(),
+            segments=len(self.store.segment_paths()),
         )
 
     def evict(
@@ -192,13 +130,6 @@ class ResultCache:
         )
 
     def clear(self) -> int:
-        """Delete every cached result (both generations); returns how
-        many entries were removed."""
-        removed = self.store.clear()
-        for path in self._legacy_entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every cached result; returns how many entries were
+        removed."""
+        return self.store.clear()

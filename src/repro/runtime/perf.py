@@ -10,8 +10,7 @@ channels:
 * a content-addressed :class:`PerfStore` under
   ``<cache-dir>/perf/`` — one append-only ``<spec-hash>.jsonl`` per
   spec, so repeated executions of the same spec accumulate a history
-  that regression analysis (``repro perf compare/check``) can reduce
-  noise-aware (min-of-N).
+  (:meth:`PerfStore.best` reduces it min-of-N).
 
 Collection piggybacks on the engine's unconditional
 :class:`~repro.sim.engine.DispatchStats` accumulator, so it works with

@@ -474,7 +474,6 @@ class ExperimentService:
                 "entries": stats.entries,
                 "total_bytes": stats.total_bytes,
                 "segments": stats.segments,
-                "legacy_entries": stats.legacy_entries,
                 **self.cache.telemetry.to_dict(),
             },
             "cache_telemetry": {

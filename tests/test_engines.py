@@ -5,8 +5,8 @@ shows it picked up — without any further edits — by CLI ``--engine``
 validation, RunSpec cache-key labelling, the CHK243 verify gate, and
 the CHK5xx agreement-spec enumeration.  The rest covers the registry
 itself, the canonical capability/protocol errors that replaced the
-three drifting interferer guards, and the registry-derived legacy
-views in ``repro.experiments.protocols``.
+three drifting interferer guards, and the registry's engine-name and
+per-engine protocol-set lookups.
 """
 
 import dataclasses
@@ -150,7 +150,7 @@ class TestCanonicalGuards:
 
 class TestBuildProtocolErrors:
     def test_unknown_protocol_cites_the_actual_engine(self):
-        # The old error cited PACKET_PROTOCOLS regardless of engine.
+        # The old error cited the packet set regardless of engine.
         with pytest.raises(ConfigurationError) as exc:
             build_protocol(
                 "mdp", None, None, None, None, None, engine="packet"
@@ -175,22 +175,30 @@ class TestBuildProtocolErrors:
 
 
 class TestDerivedLegacyViews:
-    def test_views_derive_from_registrations(self):
-        from repro.experiments import protocols as mod
+    """Engine names and per-engine protocol sets come from the
+    registry, and a new registration shows up in them."""
 
-        assert mod.PACKET_PROTOCOLS == engines.get_engine("packet").protocols
-        assert mod.FLOW_PROTOCOLS == engines.get_engine("flow").protocols
-        assert set(mod.ENGINES) == set(engines.engine_names())
-        assert mod.ENGINE_PROTOCOLS == {
+    def test_views_derive_from_registrations(self):
+        from repro.experiments.protocols import PROTOCOLS
+
+        assert engines.get_engine("fluid").protocols == PROTOCOLS
+        assert engines.get_engine("packet").protocols == (
+            "emptcp", "mptcp", "tcp-wifi")
+        assert engines.get_engine("flow").protocols == (
+            "emptcp", "mptcp", "tcp-wifi")
+        assert set(engines.engine_names()) == set(
+            engines.registered_engines())
+        assert {
+            name: engines.get_engine(name).protocols
+            for name in engines.engine_names()
+        } == {
             name: eng.protocols
             for name, eng in engines.registered_engines().items()
         }
 
     def test_views_are_live(self, dummy_engine):
-        from repro.experiments import protocols as mod
-
-        assert "dummy" in mod.ENGINES
-        assert mod.ENGINE_PROTOCOLS["dummy"] == ("emptcp", "tcp-wifi")
+        assert "dummy" in engines.engine_names()
+        assert engines.get_engine("dummy").protocols == ("emptcp", "tcp-wifi")
 
 
 class TestDummyEngineForFree:

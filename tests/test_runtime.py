@@ -146,11 +146,6 @@ class TestResultCache:
         for segment in cache.store.segment_paths():
             segment.write_text("{not json\n")
         assert cache.get(spec) is None
-        # A corrupt legacy-generation blob is equally just a miss.
-        legacy = ResultCache(tmp_path / "legacy")
-        legacy.results_dir.mkdir(parents=True)
-        legacy.path_for(spec).write_text("{not json")
-        assert legacy.get(spec) is None
 
     def test_salt_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -160,14 +155,6 @@ class TestResultCache:
         payload["salt"] = "repro-0.0.0/runtime-0"
         cache.store.put(spec.content_hash(), payload)  # newest entry wins
         assert cache.get(spec) is None
-        # Legacy generation: a stale-salt blob is a miss and must NOT
-        # be migrated into the segment store.
-        legacy = ResultCache(tmp_path / "legacy")
-        legacy.results_dir.mkdir(parents=True)
-        legacy.path_for(spec).write_text(json.dumps(payload))
-        assert legacy.get(spec) is None
-        assert legacy.path_for(spec).exists()
-        assert legacy.store.entry_count() == 0
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -575,10 +562,14 @@ class TestFacadeEquivalence:
         """The facade promise: routing the fig5/fig6 suite through the
         queue + scheduler + store pipeline changes nothing about the
         results — byte-identical to calling ``spec.execute()``."""
-        from repro.runtime.bench import bench_specs
-
         specs = [
-            spec for _, spec in bench_specs(size_mb=0.5, engines=("fluid",))
+            RunSpec(
+                protocol="emptcp",
+                builder="static",
+                kwargs={"good_wifi": good_wifi, "download_bytes": mib(0.5)},
+                seed=0,
+            )
+            for good_wifi in (True, False)
         ]
         direct = [
             json.dumps(spec.execute().to_dict(), sort_keys=True)

@@ -1,12 +1,10 @@
-"""The batched segment store and the two cache generations
+"""The batched segment store and the result cache over it
 (repro.runtime.store, repro.runtime.cache).
 
-Covers the ISSUE satellites: legacy per-run JSON entries stay readable
-(and migrate transparently), eviction leaves the index consistent, and
-``stats`` is metadata-only across both generations.
+Covers the segment index (newest entry wins, shared across
+instances), eviction leaving it consistent, cache budgets, and the
+per-batch telemetry the scheduler flushes into the perf store.
 """
-
-import json
 
 import pytest
 
@@ -77,56 +75,6 @@ class TestSegmentStore:
         store.put("h", {"blob": "x" * 1000})
         assert store.evict(max_bytes=0, max_age_s=None) == 0
         assert store.get("h") == {"blob": "x" * 1000}
-
-
-class TestLegacyGeneration:
-    def _legacy_payload(self, tmp_path, spec, result):
-        donor = ResultCache(tmp_path / "donor")
-        donor.put(spec, result)
-        return donor.store.get(spec.content_hash())
-
-    def test_legacy_blob_hits_and_migrates_transparently(self, tmp_path):
-        spec = small_spec()
-        result = spec.execute()
-        payload = self._legacy_payload(tmp_path, spec, result)
-
-        cache = ResultCache(tmp_path / "cache")
-        cache.results_dir.mkdir(parents=True)
-        cache.path_for(spec).write_text(json.dumps(payload))
-        stats = cache.stats()
-        assert stats.entries == 1 and stats.legacy_entries == 1
-
-        hit = cache.get(spec)
-        assert hit is not None and hit.to_dict() == result.to_dict()
-        # Migrated on first read: blob gone, entry now in a segment.
-        assert not cache.path_for(spec).exists()
-        assert cache.store.entry_count() == 1
-        assert cache.telemetry.migrated == 1
-        stats = cache.stats()
-        assert stats.entries == 1 and stats.legacy_entries == 0
-        # The migrated copy keeps hitting.
-        assert cache.get(spec).to_dict() == result.to_dict()
-
-    def test_migration_can_be_disabled(self, tmp_path):
-        spec = small_spec()
-        result = spec.execute()
-        payload = self._legacy_payload(tmp_path, spec, result)
-
-        cache = ResultCache(tmp_path / "cache", migrate_legacy=False)
-        cache.results_dir.mkdir(parents=True)
-        cache.path_for(spec).write_text(json.dumps(payload))
-        assert cache.get(spec).to_dict() == result.to_dict()
-        assert cache.path_for(spec).exists()  # blob left in place
-        assert cache.store.entry_count() == 0
-
-    def test_clear_removes_both_generations(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(small_spec(), small_spec().execute())
-        cache.results_dir.mkdir(parents=True)
-        cache.path_for(small_spec(seed=1)).write_text("{}")
-        assert cache.clear() == 2
-        stats = cache.stats()
-        assert stats.entries == 0 and stats.legacy_entries == 0
 
 
 class TestCacheBudgets:
