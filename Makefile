@@ -43,16 +43,18 @@ packet-smoke:  ## emptcp good + mptcp bad (SACK recovery) on the packet engine, 
 		--runs 1 --size-mb 2 --trace --cache --cache-dir .packet-smoke \
 		--no-progress > /dev/null
 	PYTHONPATH=src $(PY) -m repro.cli check trace .packet-smoke/obs
-	PYTHONPATH=src $(PY) -m repro.cli validate --size-mb 2 --no-progress
+	PYTHONPATH=src $(PY) -m repro.cli validate --engine packet --size-mb 2 \
+		--no-progress
 	rm -rf .packet-smoke
 
-perf-smoke:  ## profiler table, then a profiled packet run whose span export must pass CHK602/603
+perf-smoke:  ## profiler table, then a profiled packet run: span export must pass CHK602/603, manifest CHK601
 	rm -rf .perf-smoke
 	PYTHONPATH=src $(PY) -m repro.cli perf profile emptcp good --size-mb 2
 	PYTHONPATH=src $(PY) -m repro.cli run emptcp good --engine packet \
 		--runs 1 --size-mb 2 --profile --obs-dir .perf-smoke/obs \
-		--no-progress > /dev/null
+		--manifest .perf-smoke/manifest.jsonl --no-progress > /dev/null
 	PYTHONPATH=src $(PY) -m repro.cli check perf .perf-smoke/obs
+	PYTHONPATH=src $(PY) -m repro.cli check perf .perf-smoke/manifest.jsonl
 	rm -rf .perf-smoke
 
 fleet-smoke:  ## 1k-session flow-tier fleet under a time budget, obs-sampled

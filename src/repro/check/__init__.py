@@ -23,12 +23,14 @@ Three tiers, one vocabulary (:class:`Finding` / :class:`Report`):
   exported JSONL traces (CHK3xx) and an empirical determinism detector
   that replays a spec and diffs the traces (CHK4xx).
 
-:mod:`repro.check.packet` (CHK5xx) folds the fluid-vs-packet model
-validation into the same vocabulary, :mod:`repro.check.flow` does the
-same for the analytic flow tier (CHK504/CHK505), and :mod:`repro.check.perf`
-(CHK6xx) verifies perf telemetry — ``PerfRecord`` schema and
-consistency, span-tree well-formedness, and parent/child time
-conservation.  :mod:`repro.check.disttrace` (CHK7xx) validates
+:mod:`repro.check.agreement` (CHK5xx) folds cross-engine agreement
+into the same vocabulary: every registered engine that declares
+agreement protocols must match the fluid reference's completion time
+and energy within a factor of 1.3 either way
+(:mod:`repro.check.packet` keeps the direct-engine harness it draws
+on).  :mod:`repro.check.perf` (CHK6xx) verifies perf telemetry —
+``PerfRecord`` schema and consistency (also over run manifests),
+span-tree well-formedness, and parent/child time conservation.  :mod:`repro.check.disttrace` (CHK7xx) validates
 distributed-trace topology over the lifecycle-span exports: every run
 span reachable from its batch root, exactly one root per trace, time
 containment, and stamped run exports resolving to real spans.
@@ -39,6 +41,16 @@ CLI: ``repro check <lint|dataflow|config|trace|determinism|perf|all>``;
 
 from __future__ import annotations
 
+from repro.check.agreement import (
+    AGREEMENT_FACTOR,
+    EngineComparison,
+    agreement_engines,
+    all_engine_agreement_specs,
+    check_hol_collapse,
+    cross_engine_agreement_specs,
+    in_band,
+    run_agreement,
+)
 from repro.check.baseline import (
     DEFAULT_BASELINE,
     fingerprint_counts,
@@ -72,16 +84,9 @@ from repro.check.findings import (
     filter_noqa,
     merge_reports,
 )
-from repro.check.flow import (
-    FLOW_AGREEMENT_PROTOCOLS,
-    FlowComparison,
-    flow_agreement_report,
-    flow_agreement_specs,
-    run_flow_agreement,
-    run_flow_checks,
-)
 from repro.check.lint import lint_paths, lint_source
 from repro.check.perf import (
+    check_manifest,
     check_perf_record,
     check_perf_target,
     check_spans,
@@ -120,12 +125,15 @@ __all__ = [
     "check_traces",
     "check_trace_topology",
     "check_determinism",
-    "FLOW_AGREEMENT_PROTOCOLS",
-    "FlowComparison",
-    "flow_agreement_report",
-    "flow_agreement_specs",
-    "run_flow_agreement",
-    "run_flow_checks",
+    "AGREEMENT_FACTOR",
+    "EngineComparison",
+    "agreement_engines",
+    "all_engine_agreement_specs",
+    "check_hol_collapse",
+    "cross_engine_agreement_specs",
+    "in_band",
+    "run_agreement",
+    "check_manifest",
     "check_perf_record",
     "check_perf_target",
     "check_spans",

@@ -1,8 +1,8 @@
 """The shared finding/report vocabulary of the checker tiers.
 
 Every tier — the AST linter, the config verifier, the trace-invariant
-analyzer, the determinism detector, and the fluid-vs-packet model
-validation — reports through the same two types so that callers (the
+analyzer, the determinism detector, and the cross-engine agreement
+gate — reports through the same two types so that callers (the
 CLI, the runtime's pre-dispatch verification, CI) never have to care
 which tier produced a problem:
 
@@ -19,7 +19,8 @@ Rule ID namespaces::
     CHK2xx  config/scenario verification (repro.check.config)
     CHK3xx  trace invariants (repro.check.traces)
     CHK4xx  determinism replay (repro.check.determinism)
-    CHK5xx  fluid-vs-packet model agreement (repro.check.packet)
+    CHK5xx  cross-engine agreement with the fluid reference
+            (repro.check.agreement)
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Cross-model validation: fluid vs packet transport (CHK5xx).
+"""Direct-engine harness: fluid vs packet transport on matched paths.
 
-The reproduction's results rest on the fluid model; this module runs
-*matched* scenarios through both engines and compares the quantities
-the paper's claims depend on:
+The reproduction's results rest on the fluid model; this module builds
+*matched* connections on both engines, bypassing the experiment
+runner, and compares the quantities the paper's claims depend on:
 
 * single-path completion time across rates/RTTs/loss;
 * MPTCP aggregate completion time and per-subflow byte split;
@@ -12,17 +12,17 @@ the paper's claims depend on:
   paper's Bad/Bad observations, which the fluid model only
   approximates (see EXPERIMENTS.md).
 
-Findings use the checker's :class:`~repro.check.findings.Report`
-vocabulary (:func:`agreement_report`).
+The gated end-to-end comparison of every engine against the fluid
+reference, on the unified runner, is :mod:`repro.check.agreement`
+(CHK501–CHK503); its CHK503 rests on :func:`hol_goodput_collapse`.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.check.findings import Report
 from repro.errors import SimulationError
 from repro.net.bandwidth import ConstantCapacity
 from repro.net.interface import InterfaceKind, NetworkInterface
@@ -33,11 +33,6 @@ from repro.packet.mptcp import PacketMptcpConnection, single_path_connection
 from repro.sim.engine import Simulator
 from repro.tcp.connection import FiniteSource, TcpConnection
 from repro.units import mbps_to_bytes_per_sec, mib
-
-#: Acceptable fluid/packet completion-time ratio band for CHK501.  The
-#: engines model loss recovery differently, so ±30% is agreement, not
-#: slack — see EXPERIMENTS.md for the measured ratios.
-AGREEMENT_TOLERANCE = 0.30
 
 
 @dataclass(frozen=True)
@@ -274,205 +269,3 @@ def hol_goodput_collapse(
         [fast, slow], size_bytes, seed, rcv_buffer=rcv_buffer
     )
     return alone, together
-
-
-# ---------------------------------------------------------------------------
-# Report-vocabulary wrapper
-
-
-def agreement_report(
-    comparisons: Sequence[ModelComparison],
-    tolerance: float = AGREEMENT_TOLERANCE,
-) -> Report:
-    """Fold model comparisons into the shared checker vocabulary.
-
-    CHK501: a matched scenario whose fluid/packet completion-time ratio
-    leaves the agreement band; CHK502: a comparison whose run crashed
-    (recorded by :func:`run_agreement_checks`).
-    """
-    report = Report(tier="packet")
-    for comparison in comparisons:
-        report.checked += 1
-        ratio = comparison.ratio
-        if not (1 - tolerance) <= ratio <= (1 + tolerance):
-            report.add(
-                "CHK501",
-                f"fluid/packet disagreement on {comparison.label}: "
-                f"fluid {comparison.fluid_time:.2f}s vs packet "
-                f"{comparison.packet_time:.2f}s (ratio {ratio:.2f}, "
-                f"band {1 - tolerance:.2f}..{1 + tolerance:.2f})",
-                context=comparison.label,
-            )
-    return report
-
-
-#: Protocols compared fluid-vs-packet by default.  Plain MPTCP is
-#: deliberately excluded: its aggregate completion time is dominated by
-#: scheduler/coupling details the two engines model differently, so it
-#: sits outside the ±30% band (see EXPERIMENTS.md).  This is a live
-#: view of the packet engine's ``agreement_protocols`` declaration.
-AGREEMENT_PROTOCOLS = ("tcp-wifi", "emptcp")
-
-
-def cross_engine_agreement_specs(
-    engine: str,
-    size_bytes: float = mib(2),
-    protocols: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0,),
-) -> List[Tuple[str, "RunSpec", "RunSpec"]]:
-    """Matched (label, reference spec, ``engine`` spec) triples.
-
-    The generic CHK5xx enumerator: each pair names the *same*
-    static-bandwidth scenario (§4.2 good and bad WiFi) and differs
-    only in ``engine``, so the whole comparison rides through the
-    unified runner — caching, manifests, and traces apply to agreement
-    runs like any other experiment.  ``protocols`` defaults to the
-    engine's registered ``agreement_protocols``; any engine added to
-    the :mod:`repro.engines` registry with a non-empty declaration is
-    enumerable here without further edits.
-    """
-    from repro import engines as _engines
-    from repro.experiments.static_bw import LAB_LTE_MBPS
-    from repro.runtime.spec import RunSpec
-
-    eng = _engines.get_engine(engine)
-    if protocols is None:
-        protocols = eng.agreement_protocols
-    triples: List[Tuple[str, RunSpec, RunSpec]] = []
-    for good, wifi_label in ((True, "good-wifi"), (False, "bad-wifi")):
-        kwargs = {
-            "good_wifi": good,
-            "download_bytes": size_bytes,
-            "lte_mbps": LAB_LTE_MBPS,
-        }
-        for protocol in protocols:
-            for seed in seeds:
-                triples.append(
-                    (
-                        f"{protocol} on {wifi_label} seed {seed}",
-                        RunSpec(
-                            protocol=protocol,
-                            builder="static",
-                            kwargs=dict(kwargs),
-                            seed=seed,
-                            engine=_engines.DEFAULT_ENGINE,
-                        ),
-                        RunSpec(
-                            protocol=protocol,
-                            builder="static",
-                            kwargs=dict(kwargs),
-                            seed=seed,
-                            engine=eng.name,
-                        ),
-                    )
-                )
-    return triples
-
-
-def all_engine_agreement_specs(
-    size_bytes: float = mib(2), seeds: Sequence[int] = (0,)
-) -> Dict[str, List[Tuple[str, "RunSpec", "RunSpec"]]]:
-    """Agreement triples for *every* registered non-reference engine
-    that declares agreement protocols, keyed by engine name."""
-    from repro import engines as _engines
-
-    out: Dict[str, List[Tuple[str, "RunSpec", "RunSpec"]]] = {}
-    for name in _engines.engine_names():
-        if name == _engines.DEFAULT_ENGINE:
-            continue
-        if not _engines.get_engine(name).agreement_protocols:
-            continue
-        out[name] = cross_engine_agreement_specs(
-            name, size_bytes=size_bytes, seeds=seeds
-        )
-    return out
-
-
-def engine_agreement_specs(
-    size_bytes: float = mib(2),
-    protocols: Sequence[str] = AGREEMENT_PROTOCOLS,
-    seeds: Sequence[int] = (0,),
-) -> List[Tuple[str, "RunSpec", "RunSpec"]]:
-    """Matched (label, fluid spec, packet spec) triples — the packet
-    instantiation of :func:`cross_engine_agreement_specs`."""
-    return cross_engine_agreement_specs(
-        "packet", size_bytes=size_bytes, protocols=protocols, seeds=seeds
-    )
-
-
-def run_engine_agreement(
-    size_bytes: float = mib(2),
-    protocols: Sequence[str] = AGREEMENT_PROTOCOLS,
-    seeds: Sequence[int] = (0,),
-    tolerance: float = AGREEMENT_TOLERANCE,
-) -> Tuple[Report, List[ModelComparison]]:
-    """Run matched fluid/packet scenarios through the unified runner.
-
-    Returns the CHK501 report plus the raw comparisons (for the CLI's
-    table and the golden-file test).  Raises
-    :class:`~repro.errors.ExecutionError` if a run dies outright.
-    """
-    from repro.runtime.executor import run_specs
-
-    triples = engine_agreement_specs(
-        size_bytes=size_bytes, protocols=protocols, seeds=seeds
-    )
-    specs = [spec for _label, fluid, packet in triples for spec in (fluid, packet)]
-    results = run_specs(specs)
-    comparisons: List[ModelComparison] = []
-    for i, (label, _fluid, _packet) in enumerate(triples):
-        fluid_res, packet_res = results[2 * i], results[2 * i + 1]
-        comparisons.append(
-            ModelComparison(
-                label=label,
-                size_bytes=size_bytes,
-                fluid_time=fluid_res.download_time,
-                packet_time=packet_res.download_time,
-            )
-        )
-    return agreement_report(comparisons, tolerance=tolerance), comparisons
-
-
-def run_agreement_checks(
-    size_bytes: float = mib(2),
-    seed: int = 0,
-    tolerance: float = AGREEMENT_TOLERANCE,
-    protocols: Sequence[str] = AGREEMENT_PROTOCOLS,
-) -> Report:
-    """Run the fluid/packet agreement suite as a checker tier.
-
-    End-to-end protocol runs (including eMPTCP's full control plane)
-    go through the unified experiment runner on both engines (CHK501);
-    the head-of-line collapse must also reproduce (CHK503): with a
-    small receive buffer and a bad second path, packet MPTCP must be
-    *slower* than the fast path alone, or the packet engine has lost
-    the effect the Bad/Bad analysis depends on.
-    """
-    from repro.errors import ExecutionError
-
-    try:
-        report, _comparisons = run_engine_agreement(
-            size_bytes=size_bytes,
-            protocols=protocols,
-            seeds=(seed,),
-            tolerance=tolerance,
-        )
-    except (ExecutionError, SimulationError) as exc:
-        report = Report(tier="packet")
-        report.add("CHK502", f"agreement run failed: {exc}")
-        return report
-    try:
-        alone, together = hol_goodput_collapse(size_bytes=size_bytes, seed=seed)
-    except SimulationError as exc:
-        report.add("CHK502", f"head-of-line run failed: {exc}")
-        return report
-    report.checked += 1
-    if together <= alone:
-        report.add(
-            "CHK503",
-            f"head-of-line collapse not reproduced: MPTCP with a bad "
-            f"second path finished in {together:.2f}s, faster than the "
-            f"fast path alone ({alone:.2f}s)",
-            context="hol-collapse",
-        )
-    return report

@@ -7,7 +7,8 @@ Validates the two artefacts :mod:`repro.obs.prof` and
   ``perf`` field of a run-manifest line) is schema-complete and
   internally consistent: required keys present, counters
   non-negative, and the claimed throughput matches ``events / wall_s``
-  up to float noise.
+  up to float noise.  :func:`check_perf_target` applies it to every
+  line of a ``.jsonl`` run manifest.
 * **CHK602** — a span export is a well-formed tree: every non-root
   path has its parent in the export, counts are positive, totals
   non-negative, and depth agrees with the path.
@@ -166,10 +167,43 @@ def check_spans(profile: Mapping[str, Any], where: str = "") -> Report:
     return report
 
 
+def check_manifest(path: Path) -> Report:
+    """CHK601 over the ``perf`` field of every line of a run manifest.
+
+    Lines without a PerfRecord (cached, retried and failed runs) have
+    nothing to check; a line that is not a manifest entry is CHK601.
+    """
+    report = Report(tier="perf")
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        report.checked += 1
+        report.add("CHK601", f"cannot read {path}: {exc}", path=str(path))
+        return report
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            entry = None
+        if not isinstance(entry, dict) or "outcome" not in entry:
+            report.checked += 1
+            report.add("CHK601", "not a run-manifest line",
+                       path=str(path), line=number)
+        elif entry.get("perf"):
+            check_perf_record(entry["perf"], report,
+                              where=f"{path.name}:{entry.get('label', '')}")
+    return report
+
+
 def check_perf_target(target: Union[str, Path]) -> Report:
     """CLI entry: CHK602/CHK603 over a ``*.spans.json`` export, or
-    every such file under a directory."""
+    every such file under a directory; CHK601 over a ``.jsonl`` run
+    manifest."""
     path = Path(target)
+    if path.suffix == ".jsonl":
+        return check_manifest(path)
     report = Report(tier="perf")
     if path.is_dir():
         files = sorted(path.glob("*.spans.json"))
@@ -203,6 +237,7 @@ def check_perf_target(target: Union[str, Path]) -> Report:
 
 __all__ = [
     "PERF_RECORD_KEYS",
+    "check_manifest",
     "check_perf_record",
     "check_perf_target",
     "check_spans",

@@ -28,7 +28,6 @@ from repro.experiments import background as bg
 from repro.experiments import comparisons, mobility, random_bw, regions, static_bw
 from repro.experiments import overheads as ovh
 from repro.experiments import handover as handover_exp
-from repro.check import packet as pv
 from repro.experiments import streaming as stream_exp
 from repro.experiments import upload as upload_exp
 from repro.experiments import web as web_exp
@@ -927,13 +926,18 @@ def _cmd_check(args) -> int:
         if args.target and sub == "perf":
             targets = [Path(args.target)]
         else:
-            # Default sweep: span exports under the obs dir (skipped
-            # silently in `all` when there are none yet).
+            # Default sweep: span exports under the obs dir and the
+            # last run manifest (skipped silently in `all` when there
+            # are none yet).
             obs_dir = Path(args.cache_dir) / "obs"
             targets = sorted(obs_dir.glob("*.spans.json"))
+            last_run = Path(args.cache_dir) / "last-run.jsonl"
+            if last_run.exists():
+                targets.append(last_run)
         if not targets and sub == "perf":
-            print("error: no *.spans.json under the obs dir; run with "
-                  "--profile first or pass a file/directory", file=sys.stderr)
+            print("error: no *.spans.json under the obs dir and no "
+                  "last-run.jsonl; run with --profile first or pass a "
+                  "file/directory", file=sys.stderr)
             return 2
         if targets:
             from repro.check.findings import merge_reports
@@ -947,47 +951,47 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.engine == "flow":
-        return _validate_flow(args)
-    report, comparisons = pv.run_engine_agreement(size_bytes=mib(args.size_mb))
-    rows = []
-    for c in comparisons:
-        rows.append([c.label, f"{c.fluid_time:7.2f} s", f"{c.packet_time:7.2f} s",
-                     f"{c.ratio:5.2f}"])
-    print(format_table(["scenario", "fluid", "packet", "ratio"], rows))
-    alone, together = pv.hol_goodput_collapse()
-    print(f"HoL pathology: fast alone {alone:.2f} s vs MPTCP+slow path "
-          f"{together:.2f} s (64 KB receive buffer)")
-    report.checked += 1
-    if together <= alone:
-        report.add(
-            "CHK503",
-            f"head-of-line collapse not reproduced: MPTCP with a bad second "
-            f"path finished in {together:.2f}s, faster than the fast path "
-            f"alone ({alone:.2f}s)",
-            context="hol-collapse",
+    """``repro validate [--engine E]``: E against the fluid reference.
+
+    The reference itself (the default ``--engine``) validates every
+    registered engine that declares agreement protocols.
+    """
+    from repro import check as chk
+    from repro.check import agreement
+    from repro.engines import DEFAULT_ENGINE
+
+    names = agreement.agreement_engines()
+    if args.engine != DEFAULT_ENGINE:
+        if args.engine not in names:
+            print(f"error: engine {args.engine!r} declares no agreement "
+                  f"protocols", file=sys.stderr)
+            return 2
+        names = (args.engine,)
+    reports: List[chk.Report] = []
+    rows: List[List[str]] = []
+    for name in names:
+        report, comparisons = agreement.run_agreement(
+            name, size_bytes=mib(args.size_mb)
         )
-    print(report.format())
-    return 0 if report.ok else 1
-
-
-def _validate_flow(args) -> int:
-    """``repro validate --engine flow`` — fluid-vs-flow agreement."""
-    from repro.check import flow as fv
-
-    report, comparisons = fv.run_flow_agreement(size_bytes=mib(args.size_mb))
-    rows = []
-    for c in comparisons:
-        rows.append([
-            c.label,
-            f"{c.fluid_time:7.2f} s", f"{c.flow_time:7.2f} s",
-            f"{c.time_ratio:5.2f}",
-            f"{c.fluid_energy_j:7.2f} J", f"{c.flow_energy_j:7.2f} J",
-            f"{c.energy_ratio:5.2f}",
-        ])
+        reports.append(report)
+        for c in comparisons:
+            rows.append([
+                c.engine, c.label,
+                f"{c.ref_time:7.2f} s", f"{c.engine_time:7.2f} s",
+                f"{c.ratio:5.2f}",
+                f"{c.ref_energy_j:7.2f} J", f"{c.engine_energy_j:7.2f} J",
+                f"{c.energy_ratio:5.2f}",
+            ])
     print(format_table(
-        ["scenario", "fluid t", "flow t", "t ratio",
-         "fluid E", "flow E", "E ratio"], rows))
+        ["engine", "scenario", "ref t", "engine t", "t ratio",
+         "ref E", "engine E", "E ratio"], rows))
+    if "packet" in names:
+        report, times = agreement.check_hol_collapse()
+        reports.append(report)
+        if times is not None:
+            print(f"HoL pathology: fast alone {times[0]:.2f} s vs "
+                  f"MPTCP+slow path {times[1]:.2f} s (64 KB receive buffer)")
+    report = chk.merge_reports("agreement", reports)
     print(report.format())
     return 0 if report.ok else 1
 
@@ -1133,8 +1137,9 @@ _COMMANDS = {
     "upload": (_cmd_upload, "Extension: bulk uploads (direction-aware EIB)"),
     "streaming": (_cmd_streaming, "Extension: 2.5 Mbps video streaming"),
     "handover": (_cmd_handover, "Extension: WiFi-dissociation handover"),
-    "validate": (_cmd_validate, "Extension: cross-engine model validation "
-                                "(--engine packet|flow)"),
+    "validate": (_cmd_validate, "Extension: cross-engine agreement with "
+                                "the fluid reference (--engine packet|flow; "
+                                "default: every engine)"),
     "report": (_cmd_report, "run the full evaluation; render a markdown report"),
     "table1": (_cmd_table1, "Table 1: device specifications"),
     "table2": (_cmd_table2, "Table 2: EIB thresholds vs paper"),

@@ -23,9 +23,7 @@ subflow to exit slow start and produce φ throughput samples —
 
 All triggers and queries go through a
 :class:`~repro.control.port.DataPlanePort`, so the same class serves
-the fluid and packet engines (the historical fluid-only entry point,
-:class:`repro.core.delay.DelayedSubflowEstablishment`, is now a thin
-adapter over this one).
+the fluid and packet engines.
 """
 
 from __future__ import annotations

@@ -8,15 +8,15 @@ The four components of Figure 2, layered on the MPTCP substrate:
 * :mod:`repro.core.eib` — the energy information base (§3.3, Table 2);
 * :mod:`repro.core.controller` — the path usage controller with its 10%
   safety factor (§3.4);
-* :mod:`repro.core.delay` — delayed subflow establishment (§3.5,
-  equation (1));
+* :mod:`repro.control.delay` — delayed subflow establishment (§3.5,
+  equation (1)), shared with the packet engine;
 * :mod:`repro.core.emptcp` — :class:`EMPTCPConnection`, wiring them all
   onto an :class:`~repro.mptcp.connection.MPTCPConnection` (§3.6).
 """
 
+from repro.control.delay import minimum_tau
 from repro.core.config import EMPTCPConfig
 from repro.core.controller import PathDecision, PathUsageController
-from repro.core.delay import DelayedSubflowEstablishment, minimum_tau
 from repro.core.eib import EibEntry, EnergyInformationBase
 from repro.core.emptcp import EMPTCPConnection
 from repro.core.forecast import HoltWintersForecaster
@@ -25,7 +25,6 @@ from repro.core.sampler import ThroughputSampler
 
 __all__ = [
     "BandwidthPredictor",
-    "DelayedSubflowEstablishment",
     "EMPTCPConfig",
     "EMPTCPConnection",
     "EibEntry",

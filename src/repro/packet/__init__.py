@@ -9,11 +9,12 @@ MPTCP data-sequence layer with a finite connection-level receive buffer
 (real head-of-line blocking instead of the fluid model's utilization
 formula).
 
-Its purpose is validation: :mod:`repro.check.packet` runs matched
+Its purpose is validation: :mod:`repro.check.agreement` runs matched
 fluid/packet scenarios and checks that the macroscopic quantities the
-reproduction relies on (throughput, completion time, loss response)
-agree — and documents where they do not (reordering pathologies the
-fluid model smooths over).
+reproduction relies on (completion time, energy) agree, and
+:mod:`repro.check.packet` compares the engines path by path —
+documenting where they do not agree (reordering pathologies the fluid
+model smooths over).
 """
 
 from repro.packet.link import PacketLink

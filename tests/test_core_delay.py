@@ -3,9 +3,9 @@
 import pytest
 
 from tests.helpers import make_path, rng
+from repro.control.delay import DelayedEstablishment, minimum_tau
 from repro.core.config import EMPTCPConfig
-from repro.core.controller import PathDecision, PathUsageController
-from repro.core.delay import DelayedSubflowEstablishment, minimum_tau
+from repro.core.controller import PathUsageController
 from repro.core.eib import cached_eib
 from repro.core.predictor import BandwidthPredictor
 from repro.energy.device import GALAXY_S3
@@ -48,6 +48,37 @@ class TestMinimumTau:
             minimum_tau(1.0, 0.1, 10, initial_window_bytes=0.0)
 
 
+class MptcpDelayPort:
+    """The :class:`~repro.control.port.DelayPort` slice over a plain
+    fluid MPTCP connection, joining ``cell_path`` on establishment."""
+
+    def __init__(self, connection, cell_path):
+        self.connection = connection
+        self.cell_path = cell_path
+
+    def on_delivery(self, listener):
+        self.connection.on_delivery(
+            lambda subflow, delivered: listener(
+                subflow.interface_kind, delivered
+            )
+        )
+
+    def join_cellular(self):
+        return self.connection.add_subflow(self.cell_path)
+
+    @property
+    def is_idle(self):
+        return self.connection.is_idle
+
+    @property
+    def source_exhausted(self):
+        return self.connection.source.exhausted
+
+    @property
+    def completed(self):
+        return self.connection.completed_at is not None
+
+
 def build(sim, wifi_mbps=2.0, size=50_000_000.0, **config_kwargs):
     """An MPTCP connection with a delayed-establishment module wired the
     way EMPTCPConnection does it."""
@@ -63,8 +94,8 @@ def build(sim, wifi_mbps=2.0, size=50_000_000.0, **config_kwargs):
         config, cached_eib(GALAXY_S3), predictor, InterfaceKind.LTE
     )
     conn.on_subflow_established(predictor.attach_subflow)
-    delayed = DelayedSubflowEstablishment(
-        sim, conn, config, predictor, controller, establish=lambda: conn.add_subflow(lte)
+    delayed = DelayedEstablishment(
+        sim, MptcpDelayPort(conn, lte), config, predictor, controller
     )
     conn.open()
     delayed.start()

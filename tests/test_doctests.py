@@ -2,9 +2,12 @@
 and DESIGN.md are executable here, so documentation cannot silently rot.
 """
 
+import ast
+import re
+
 import pytest
 
-from repro.core.delay import minimum_tau
+from repro.control.delay import minimum_tau
 from repro.core.eib import cached_eib
 from repro.energy.device import GALAXY_S3
 from repro.energy.efficiency import Strategy, per_byte_energy
@@ -65,3 +68,24 @@ class TestDesignDocClaims:
         wifi_only = per_byte_energy(GALAXY_S3, Strategy.WIFI_ONLY, wifi, lte)
         saving_per_mb = (wifi_only - both) * 1_000_000.0
         assert saving_per_mb < GALAXY_S3.fixed_overhead(InterfaceKind.LTE)
+
+
+class TestRuleCatalog:
+    def test_every_rule_id_has_a_checks_md_row(self, repo_root):
+        """Every ``"CHKnnn"``/``"REPnnn"`` literal the checkers emit has
+        a ``| CHKnnn |`` row in CHECKS.md, and every row names a rule
+        the code still emits."""
+        rule = re.compile(r"(CHK|REP)\d{3}")
+        emitted = set()
+        for path in (repo_root / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and rule.fullmatch(node.value)):
+                    emitted.add(node.value)
+        catalog = set(re.findall(
+            r"^\| ((?:CHK|REP)\d{3}) \|",
+            (repo_root / "CHECKS.md").read_text(),
+            flags=re.MULTILINE,
+        ))
+        assert emitted == catalog

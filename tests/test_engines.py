@@ -2,11 +2,11 @@
 
 The headline acceptance test registers a *dummy fourth engine* and
 shows it picked up — without any further edits — by CLI ``--engine``
-validation, RunSpec cache-key labelling, the CHK243 verify gate, and
-the CHK5xx agreement-spec enumeration.  The rest covers the registry
-itself, the canonical capability/protocol errors that replaced the
-three drifting interferer guards, and the registry's engine-name and
-per-engine protocol-set lookups.
+validation, RunSpec cache-key labelling, the CHK243 verify gate, the
+CHK5xx agreement-spec enumeration, and ``repro validate``.  The rest
+covers the registry itself, the canonical capability/protocol errors
+that replaced the three drifting interferer guards, and the registry's
+engine-name and per-engine protocol-set lookups.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import pytest
 
 from repro import engines
 from repro.check.config import check_run_spec
-from repro.check.packet import all_engine_agreement_specs
+from repro.check.agreement import all_engine_agreement_specs
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments.background import background_scenario
@@ -256,6 +256,59 @@ class TestDummyEngineForFree:
             assert fluid_spec.engine == "fluid"
             assert dummy_spec.engine == "dummy"
             assert fluid_spec.kwargs == dummy_spec.kwargs
+
+    def test_cli_validate_compares_dummy_against_fluid(self, dummy_engine,
+                                                        capsys):
+        code = main(["validate", "--engine", "dummy", "--size-mb", "1",
+                     "--no-progress"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith("dummy ")]
+        assert [" ".join(row[1:6]) for row in rows] == [
+            "emptcp on good-wifi seed 0", "emptcp on bad-wifi seed 0"
+        ]
+        assert "HoL pathology" not in out
+        assert "agreement: OK (2 checked)" in out
+
+    def test_cli_validate_reports_a_crashing_engine(self, dummy_engine,
+                                                    capsys):
+        def crash(protocol, scenario, seed):
+            raise RuntimeError("dummy engine crashed")
+
+        engines.unregister_engine("dummy")
+        engines.register_engine(dataclasses.replace(dummy_engine, run=crash))
+        code = main(["validate", "--engine", "dummy", "--size-mb", "1",
+                     "--no-progress"])
+        captured = capsys.readouterr()
+        assert code == 1
+        findings = [line for line in captured.out.splitlines()
+                    if "CHK502" in line]
+        assert len(findings) == 2
+        assert all(line.startswith("dummy: emptcp on ") for line in findings)
+        assert "dummy engine crashed" in findings[0]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_cli_validate_refuses_an_engine_without_protocols(
+            self, dummy_engine, capsys):
+        engines.unregister_engine("dummy")
+        engines.register_engine(
+            dataclasses.replace(dummy_engine, agreement_protocols=()))
+        code = main(["validate", "--engine", "dummy", "--no-progress"])
+        assert code == 2
+        assert "declares no agreement protocols" in capsys.readouterr().err
+
+    def test_cli_bare_validate_covers_every_declaring_engine(self, capsys):
+        code = main(["validate", "--size-mb", "1", "--no-progress"])
+        out = capsys.readouterr().out
+        engines_in_table = {
+            line.split()[0] for line in out.splitlines()
+            if " on " in line and " seed " in line
+            and not line.startswith(("flow:", "packet:"))
+        }
+        assert engines_in_table == {"flow", "packet"}
+        assert "HoL pathology" in out
+        assert code == (0 if "agreement: OK" in out else 1)
 
     def test_run_scenario_dispatches_to_registration(self, dummy_engine):
         result = run_scenario(

@@ -1,16 +1,16 @@
-"""Property-style fluid-vs-flow agreement sweep (CHK504 tolerance).
+"""Property-style fluid-vs-flow agreement sweep (the CHK501 band).
 
-Satellite of the flow-tier PR: every static single-user scenario the
-paper's §4.2 analysis rests on must produce the same completion time
-and energy-at-completion on the analytic tier as on the fluid
-reference, within the CHK5xx agreement band — and ``engine="flow"``
+Every static single-user scenario the paper's §4.2 analysis rests on
+must produce the same completion time and energy-at-completion on the
+analytic tier as on the fluid reference, within the shared agreement
+band (:func:`repro.check.agreement.in_band`) — and ``engine="flow"``
 must be a first-class citizen of the runtime (distinct cache keys,
 labelled results).
 """
 
 import pytest
 
-from repro.check.packet import AGREEMENT_TOLERANCE
+from repro.check.agreement import in_band
 from repro.experiments.runner import run_scenario
 from repro.experiments.static_bw import static_scenario
 from repro.runtime.spec import RunSpec
@@ -43,13 +43,12 @@ class TestFlowFluidAgreement:
         flow = run_scenario(protocol, scenario, seed=seed, engine="flow")
         assert fluid.download_time is not None
         assert flow.download_time is not None
-        lo, hi = 1 - AGREEMENT_TOLERANCE, 1 + AGREEMENT_TOLERANCE
-        t_ratio = flow.download_time / fluid.download_time
-        assert lo <= t_ratio <= hi, f"{label}: time ratio {t_ratio:.2f}"
+        t_ratio = fluid.download_time / flow.download_time
+        assert in_band(t_ratio), f"{label}: time ratio {t_ratio:.2f}"
         e_ratio = (
-            flow.energy_at_completion_j / fluid.energy_at_completion_j
+            fluid.energy_at_completion_j / flow.energy_at_completion_j
         )
-        assert lo <= e_ratio <= hi, f"{label}: energy ratio {e_ratio:.2f}"
+        assert in_band(e_ratio), f"{label}: energy ratio {e_ratio:.2f}"
 
     def test_emptcp_good_wifi_skips_cell_on_both_engines(self):
         scenario = static_scenario(True, download_bytes=mib(2))

@@ -107,13 +107,13 @@ class TestEngineAgreementGolden:
         ratios within a drift band."""
         import json
 
-        from repro.check.packet import run_engine_agreement
+        from repro.check.agreement import run_agreement
 
         golden = json.loads(
             (test_data_dir / "engine_agreement.golden.json").read_text()
         )
-        report, comparisons = run_engine_agreement(
-            size_bytes=mib(golden["size_mib"])
+        report, comparisons = run_agreement(
+            "packet", size_bytes=mib(golden["size_mib"])
         )
         assert report.ok is golden["ok"]
         assert [c.label for c in comparisons] == [

@@ -273,6 +273,39 @@ class TestPerfCli:
             capsys, "check", "perf", "--cache-dir", str(tmp_path))
         assert code == 0 and "perf: OK" in out
 
+    def write_manifest(self, path, record):
+        with RunManifest(path) as manifest:
+            manifest.record(tiny_spec(), "executed", wall_time_s=2.0,
+                            perf=record.to_dict())
+            manifest.record(tiny_spec(seed=1), "cached")
+
+    def test_check_perf_on_a_manifest(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        self.write_manifest(manifest, make_record())
+        code, out, _err = self.run_cli(capsys, "check", "perf", str(manifest))
+        assert code == 0 and "perf: OK (1 checked)" in out
+
+    def test_check_perf_flags_inconsistent_manifest_record(self, capsys,
+                                                           tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        self.write_manifest(manifest, make_record(events_per_sec=999.0))
+        code, out, _err = self.run_cli(capsys, "check", "perf", str(manifest))
+        assert code == 1
+        assert "CHK601 events_per_sec inconsistent" in out
+
+    def test_check_perf_sweeps_the_last_run_manifest(self, capsys, tmp_path):
+        self.write_manifest(tmp_path / "last-run.jsonl",
+                            make_record(events_per_sec=999.0))
+        code, out, _err = self.run_cli(
+            capsys, "check", "perf", "--cache-dir", str(tmp_path))
+        assert code == 1 and "CHK601" in out
+
+    def test_check_perf_rejects_a_non_manifest_jsonl(self, tmp_path):
+        trace = tmp_path / "run.trace.jsonl"
+        trace.write_text(json.dumps({"type": "tcp.loss", "t": 0.1}) + "\n")
+        report = check_perf_target(trace)
+        assert [(f.rule, f.line) for f in report.findings] == [("CHK601", 1)]
+
     def test_check_perf_without_artifacts_errors(self, capsys, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
